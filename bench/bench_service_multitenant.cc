@@ -1,18 +1,23 @@
 /**
  * @file
- * Multi-tenant denoise service benchmark (DESIGN §13): an 8-tenant
+ * Multi-tenant denoise service benchmark (DESIGN §13): a 9-tenant
  * mixed-resolution mix (HD + SD streams, mixed priorities, weights,
- * precisions, one Reject-policy tenant, one temporally-seeded tenant)
- * multiplexed through one DenoiseService, against the same eight
- * workloads run as sequential solo StreamDenoiser streams.
+ * precisions, one Reject-policy tenant, one temporally-seeded tenant,
+ * one tenant running the Wiener stage) multiplexed through one
+ * DenoiseService, against the same nine workloads run as sequential
+ * solo StreamDenoiser streams.
  *
  * Reported per tenant: sustained fps, p50/p95/p99 frame latency
  * (SLO rows, emitted as the record's "tenant_latency_ms" object),
  * admission rejects, queue high-water and arena steady-state bytes
  * (via the "service.<tenant>.*" counters the service exports).
  * Headline: aggregate service fps vs the sequential-solo aggregate —
- * the service shards large frames across the whole pool and overlaps
- * tenants' prepass/stage work, so it must sustain the higher rate.
+ * the service shards large frames across the whole pool, runs
+ * different tenants' frames side by side on its dispatch lanes and
+ * overlaps prepass with stage work, so it must sustain the higher
+ * rate. The service exports its lane count ("service.lanes") and the
+ * most frames it had in stages at once ("service.concurrentFramesMax")
+ * into the record's gauges.
  *
  * Determinism gates: every tenant's outputs are hashed against its
  * solo run (stream_hash_match_<tenant>, exit 1 on mismatch), and the
@@ -108,16 +113,21 @@ main()
     base.frame.numThreads = 2;
     base.queueDepth = frames; // a paused pre-fill must fully fit
 
+    // The 9-tenant mix: 4 HD + 5 SD, mixed priorities/weights/
+    // precisions, one Reject-policy tenant, one seeded tenant, and one
+    // Wiener tenant (BM2/DE2 under the service).
+    std::vector<Tenant> tenants(9);
+
     service::ServiceConfig svc_cfg;
     svc_cfg.startPaused = true; // deterministic admission + schedule
     svc_cfg.shardPixels =
         full ? 1000 * 1000 : 10 * 1000; // HD shards, SD stays local
-    svc_cfg.shardThreads = 0;           // whole pool for sharded frames
-    svc_cfg.sharedBudgetFrames = 8 * frames * 2;
+    svc_cfg.shardThreads = 0; // whole pool per sharded frame, one lane per core
+    // Room for every pre-filled frame: the tiers never bind, so only
+    // the Reject tenant's queue bound refuses frames.
+    svc_cfg.sharedBudgetFrames =
+        static_cast<int>(tenants.size()) * frames * 2;
 
-    // The 8-tenant mix: 4 HD + 4 SD, mixed priorities/weights/
-    // precisions, one Reject-policy tenant, one seeded tenant.
-    std::vector<Tenant> tenants(8);
     for (size_t t = 0; t < tenants.size(); ++t) {
         service::SessionConfig &s = tenants[t].session;
         const bool hd = t < 4;
@@ -135,6 +145,8 @@ main()
     tenants[6].session.stream.queueDepth = frames / 2; // forces rejects
     tenants[7].session.priority = service::Priority::Low;
     tenants[7].session.stream.temporalSeed = true;
+    tenants[8].session.name = "sd_wiener";
+    tenants[8].session.stream.frame.enableWiener = true;
 
     uint64_t seed = 900;
     for (size_t t = 0; t < tenants.size(); ++t) {
@@ -224,7 +236,7 @@ main()
     std::printf("\nservice: %d frames/tenant, shard >= %zu px, "
                 "budget %d frames\n",
                 frames, svc_cfg.shardPixels, svc_cfg.sharedBudgetFrames);
-    std::vector<int> widths = {8, 10, 8, 10, 10, 10, 9, 9, 11};
+    std::vector<int> widths = {11, 10, 8, 10, 10, 10, 9, 9, 11};
     bench::printRow({"tenant", "prio", "fps", "p50 ms", "p95 ms",
                      "p99 ms", "rejects", "q-high", "steadyB"},
                     widths);
@@ -254,10 +266,13 @@ main()
     }
 
     std::printf("\naggregate: service %.2f fps vs sequential solo "
-                "%.2f fps (%.2fx)  |  hashes %s  |  rejects %llu\n",
+                "%.2f fps (%.2fx)  |  hashes %s  |  rejects %llu  |  "
+                "lanes %d, at most %llu frames in stages at once\n",
                 service_fps, solo_fps, service_fps / solo_fps,
                 all_hashes_match ? "identical" : "MISMATCH",
-                static_cast<unsigned long long>(stats.rejects));
+                static_cast<unsigned long long>(stats.rejects),
+                stats.lanes,
+                static_cast<unsigned long long>(stats.concurrentFramesMax));
 
     record.metrics["tenants"] = static_cast<double>(tenants.size());
     record.metrics["frames"] = static_cast<double>(stats.frames);

@@ -5,15 +5,13 @@
 namespace ideal {
 namespace runtime {
 
-bool
-BufferArena::takeFreeLocked(size_t count, std::vector<float> *out)
+BufferArena::FreeList::iterator
+BufferArena::servingLocked(size_t count)
 {
     auto it = free_.lower_bound(count);
     if (it == free_.end() || it->first > count * kSlackFactor)
-        return false;
-    *out = std::move(it->second);
-    free_.erase(it);
-    return true;
+        return free_.end();
+    return it;
 }
 
 void
@@ -36,10 +34,13 @@ BufferArena::ensure(std::vector<float> &buf, size_t count)
     bool hit = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        hit = takeFreeLocked(count, &recycled);
-        if (hit)
+        const auto it = servingLocked(count);
+        hit = it != free_.end();
+        if (hit) {
+            recycled = std::move(it->second);
+            free_.erase(it);
             ++stats_.hits;
-        else {
+        } else {
             ++stats_.misses;
             stats_.bytesNew += count * sizeof(float);
         }
@@ -73,6 +74,19 @@ BufferArena::release(std::vector<float> &&buf)
         return;
     std::lock_guard<std::mutex> lock(mutex_);
     free_.emplace(buf.capacity(), std::move(buf));
+}
+
+void
+BufferArena::offer(std::vector<float> &&buf)
+{
+    if (buf.capacity() == 0)
+        return;
+    std::vector<float> dropped; // freed after the lock is released
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (servingLocked(buf.size()) == free_.end())
+        free_.emplace(buf.capacity(), std::move(buf));
+    else
+        dropped = std::move(buf);
 }
 
 BufferArena::Stats

@@ -42,6 +42,12 @@ namespace runtime {
  *    capacity in [n, kSlackFactor * n] — the slack cap keeps size
  *    classes segregated, so a small request can never starve a huge
  *    patch-field class — or allocates on miss.
+ *  - offer(buf): storage handed back from outside the pipeline (a
+ *    collected output the consumer recycles). The pipeline already
+ *    pools each input frame, so the free list keeps an offered buffer
+ *    only when nothing free would serve a request of its size and
+ *    drops it otherwise — the free list stays bounded however many
+ *    frames are recycled.
  *
  * Thread-safe; the streaming runtime calls it from the prepass and
  * driver threads concurrently (their buffer size classes are disjoint,
@@ -82,6 +88,14 @@ class BufferArena
     /** Donate @p buf's storage to the free list (no-op if empty). */
     void release(std::vector<float> &&buf);
 
+    /**
+     * Keep @p buf's storage only when no free buffer would serve an
+     * acquire(buf.size()); otherwise free it. Ledger-neutral like
+     * release(): in the steady state the storage freed here is an
+     * input frame the pipeline adopted, which was never charged.
+     */
+    void offer(std::vector<float> &&buf);
+
     Stats stats() const;
 
     /** Drop all free buffers (tests; steady streams never need it). */
@@ -92,12 +106,14 @@ class BufferArena
     /// for it: bounded internal fragmentation, segregated size classes.
     static constexpr size_t kSlackFactor = 4;
 
-    /// Take a free buffer with capacity in [count, kSlackFactor*count];
-    /// returns false when none qualifies. Caller holds mutex_.
-    bool takeFreeLocked(size_t count, std::vector<float> *out);
+    using FreeList = std::multimap<size_t, std::vector<float>>;
+
+    /// The free buffer acquire(count) would take, or free_.end().
+    /// Caller holds mutex_.
+    FreeList::iterator servingLocked(size_t count);
 
     mutable std::mutex mutex_;
-    std::multimap<size_t, std::vector<float>> free_; ///< by capacity
+    FreeList free_; ///< by capacity
     Stats stats_;
 };
 

@@ -195,8 +195,8 @@ StreamDenoiser::prepassMain()
                          [&] { return error_ || !freeSlots_.empty(); });
                 if (error_)
                     return;
-                slot = freeSlots_.back();
-                freeSlots_.pop_back();
+                slot = freeSlots_.front();
+                freeSlots_.pop_front();
             }
             {
                 // DCT1 of frame t+1 overlaps the driver's stage work

@@ -141,13 +141,15 @@ class StreamDenoiser
     void finish();
 
     /**
-     * Donate a collected output's storage back to the arena, closing
-     * the recycling loop (the next output draws from it).
+     * Hand a collected output's storage back to the arena. It is kept
+     * only when the arena has no free buffer of its size (each input
+     * frame already feeds the next output), so recycling every output
+     * holds the free list steady instead of growing it a frame a time.
      */
     void
     recycle(image::ImageF &&frame)
     {
-        arena_.release(frame.takeStorage());
+        arena_.offer(frame.takeStorage());
     }
 
     const StreamConfig &config() const { return config_; }
@@ -168,8 +170,10 @@ class StreamDenoiser
      * Persistent prepass workspace: the matching plane copy and the
      * DCT1 field of one in-flight frame. Two slots ping-pong between
      * the prepass (building t+1) and the driver (matching t), and
-     * their arena-backed storage is ensured in place, so from frame 3
-     * on the prepass allocates nothing.
+     * their arena-backed storage is ensured in place. Free slots are
+     * handed out first-in first-out, so frames 1 and 2 always warm
+     * both slots and from frame 3 on the prepass allocates nothing,
+     * however the two threads interleave.
      */
     struct FieldSlot
     {
@@ -209,7 +213,7 @@ class StreamDenoiser
 
     std::deque<InputItem> inputQueue_;       ///< bounded by queueDepth
     std::deque<MidItem> midQueue_;           ///< bounded to 1
-    std::vector<FieldSlot *> freeSlots_;
+    std::deque<FieldSlot *> freeSlots_;      ///< FIFO, see FieldSlot
     std::deque<image::ImageF> outputQueue_;  ///< unbounded, see class doc
     bool inputClosed_ = false;
     bool prepassDone_ = false; ///< prepass drained its side of the queue

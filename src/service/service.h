@@ -142,7 +142,8 @@ struct ServiceConfig
     size_t shardPixels = 512 * 512;
 
     /// Worker count for sharded frames; <= 0 selects the hardware
-    /// thread count.
+    /// thread count. The clamped value is also the number of dispatch
+    /// lanes: frames of different sessions in stages at once.
     int shardThreads = 0;
 
     /**
@@ -203,6 +204,10 @@ struct ServiceStats
     /// decision sequence (deterministic for a pre-filled workload).
     std::vector<int> dispatchOrder;
 
+    int lanes = 0; ///< dispatch lanes (clampThreads(shardThreads))
+    /// Most frames in stages at once (<= lanes; timing-dependent).
+    uint64_t concurrentFramesMax = 0;
+
     std::vector<TenantStats> tenants; ///< indexed by session id
 };
 
@@ -212,13 +217,16 @@ using SessionId = int;
 /**
  * Multi-tenant streaming denoiser over the per-frame Bm3d engine.
  *
- * Threading model mirrors StreamDenoiser (DESIGN §9), generalized to
- * N sessions: submit()/collect() are called by tenants (any threads);
- * internally one *scheduler* thread picks the next admitted frame by
- * weighted fair queueing and computes its DCT1 prepass field, and one
- * *dispatcher* thread runs the BM3D stages — the dispatcher is the
- * only thread that dispatches to the global ThreadPool. Each tenant's
- * outputs come out of collect() in that tenant's submit order.
+ * Threading model (DESIGN §13): submit()/collect() are called by
+ * tenants (any threads). Internally one *scheduler* thread picks the
+ * next admitted frame by weighted fair queueing and computes its DCT1
+ * prepass field, and L = parallel::clampThreads(shardThreads) *lanes*
+ * run the BM3D stages. A lane takes the oldest prepassed frame, in
+ * pick order, whose session has no frame in stages, so different
+ * sessions' frames run concurrently while one session's frames stay
+ * sequential. Every lane may call into the global ThreadPool: sharded
+ * frames fan out at shardThreads, the rest at the session's own width.
+ * Each tenant's outputs come out of collect() in its submit order.
  *
  * Lifecycle: openSession() any time before finish(); submit frames;
  * closeSession() (optional, per tenant) or finish() (closes every
@@ -261,8 +269,9 @@ class DenoiseService
     image::ImageF collect(SessionId id);
 
     /**
-     * Donate a collected output's storage back to @p id's arena,
-     * closing that tenant's recycling loop.
+     * Hand a collected output's storage back to @p id's arena; kept
+     * only when the arena has no free buffer of its size (see
+     * runtime::BufferArena::offer).
      */
     void recycle(SessionId id, image::ImageF &&frame);
 
@@ -287,7 +296,7 @@ class DenoiseService
     struct Session;   // defined in service.cc
     struct FieldSlot; // defined in service.cc
 
-    /// A frame whose DCT1 field is ready for the dispatcher.
+    /// A frame whose DCT1 field is ready for a lane.
     struct MidItem
     {
         Session *session = nullptr;
@@ -300,7 +309,7 @@ class DenoiseService
     int pickLocked() const;
     bool drainedLocked(const Session &session) const;
     void schedulerMain();
-    void dispatcherMain();
+    void laneMain();
     void prepassBuild(Session &session, FieldSlot &slot,
                       const image::ImageF &frame);
     void processFrame(MidItem item);
@@ -319,8 +328,12 @@ class DenoiseService
     std::vector<std::unique_ptr<Session>> sessions_;
     std::map<std::string, SessionId> byName_;
 
-    std::deque<MidItem> midQueue_; ///< bounded to 1 (pipeline depth)
+    const int laneCount_;          ///< clampThreads(shardThreads)
+    std::deque<MidItem> midQueue_; ///< pick order, bounded to laneCount_
     size_t globalQueued_ = 0;      ///< frames admitted, not yet picked
+    int lanesLive_ = 0;            ///< lanes not yet exited
+    uint64_t staged_ = 0;          ///< frames in stages now
+    uint64_t stagedMax_ = 0;       ///< high-water of staged_
     bool paused_ = false;
     bool closing_ = false;
     bool schedulerDone_ = false;
@@ -336,7 +349,7 @@ class DenoiseService
     std::chrono::steady_clock::time_point lastDone_;
 
     std::thread scheduler_;
-    std::thread dispatcher_;
+    std::vector<std::thread> lanes_;
     bool joined_ = false;
 };
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -131,6 +132,36 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives)
     std::atomic<int> calls{0};
     ThreadPool::global().run(8, 4, [&](int, int) { ++calls; });
     EXPECT_EQ(calls.load(), 8);
+}
+
+// The service's dispatch lanes call run() from several threads at once:
+// three non-pool threads each run 200 batches at parallelism 3, and
+// every index of every batch must run exactly once, on a valid slot.
+TEST(ThreadPool, ConcurrentCallersFromManyThreads)
+{
+    const int callers = 3, batches = 200, count = 24, width = 3;
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < callers; ++c) {
+        threads.emplace_back([&] {
+            for (int b = 0; b < batches; ++b) {
+                std::vector<std::atomic<int>> hits(count);
+                ThreadPool::global().run(count, width, [&](int i, int slot) {
+                    if (slot < 0 || slot >= width)
+                        ++wrong;
+                    ++hits[i];
+                    // Long enough that workers join batches in flight.
+                    std::this_thread::sleep_for(std::chrono::microseconds(20));
+                });
+                for (int i = 0; i < count; ++i)
+                    if (hits[i].load() != 1)
+                        ++wrong;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(wrong.load(), 0);
 }
 
 // ---------------------------------------------------------------------

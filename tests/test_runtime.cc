@@ -18,6 +18,7 @@
 #include "image/metrics.h"
 #include "image/noise.h"
 #include "image/synthetic.h"
+#include "obs/metrics.h"
 #include "runtime/stream.h"
 #include "simd/simd.h"
 
@@ -272,6 +273,43 @@ TEST_F(RuntimeTest, ArenaIsMallocFreeInSteadyState)
     EXPECT_GT(stats.arenaBytesNew, 0u); // warm-up did allocate
     EXPECT_EQ(stats.latenciesMs.size(), static_cast<size_t>(frames));
     EXPECT_GT(stats.wallSeconds, 0.0);
+}
+
+// Each input frame's storage already feeds the next output, so with or
+// without recycling every collected output the arena's free list holds
+// steady after warm-up (recycling used to grow it a frame per frame),
+// the steady state stays malloc-free, and the resident ledger stays
+// flat (the freed storage is mostly input frames it never charged).
+TEST_F(RuntimeTest, RecyclingKeepsArenaFreeListBounded)
+{
+    const int frames = 40;
+    const auto clip = staticClip(4, 32, 32, 25.0f, 71);
+    for (bool wiener : {false, true}) {
+        for (bool recycle : {false, true}) {
+            StreamDenoiser stream(smallStreamConfig(1, wiener));
+            std::vector<uint64_t> free_buffers;
+            std::vector<int64_t> resident;
+            for (int f = 0; f < frames; ++f) {
+                stream.submit(image::ImageF(clip[f % clip.size()]));
+                image::ImageF out = stream.collect();
+                if (recycle)
+                    stream.recycle(std::move(out));
+                free_buffers.push_back(stream.arena().stats().freeBuffers);
+                resident.push_back(obs::residentBytes());
+            }
+            stream.finish();
+            for (int f = 3; f < frames; ++f) {
+                EXPECT_EQ(free_buffers[f], free_buffers[2])
+                    << "wiener=" << wiener << " recycle=" << recycle
+                    << " frame " << f;
+                EXPECT_EQ(resident[f], resident[2])
+                    << "wiener=" << wiener << " recycle=" << recycle
+                    << " frame " << f;
+            }
+            EXPECT_EQ(stream.stats().arenaBytesNewSteady, 0u)
+                << "wiener=" << wiener << " recycle=" << recycle;
+        }
+    }
 }
 
 TEST_F(RuntimeTest, LifecycleErrors)

@@ -2,8 +2,10 @@
  * @file
  * Deterministic concurrency tests for the multi-tenant denoise service
  * (src/service): per-tenant bitwise-vs-solo equality across SIMD
- * levels, thread counts and precisions; weighted-fair dispatch-order
- * and admission determinism under the paused pre-fill harness;
+ * levels, thread counts, precisions and lane counts; dispatch lanes
+ * running one tenant's small frames beside another's large frame;
+ * weighted-fair dispatch-order and admission determinism under the
+ * paused pre-fill harness;
  * priority-tiered throttling (low rejected before high misses its
  * queue bound); fault-injection isolation (stalled / dead collectors);
  * BufferArena cross-tenant isolation; and lifecycle errors. The binary
@@ -122,9 +124,9 @@ class ServiceTest : public ::testing::Test
 
 // The tentpole contract: every tenant's output is bitwise identical to
 // a solo StreamDenoiser run of the same config — across SIMD dispatch
-// levels, per-session thread counts, and both precisions, under a
-// seeded-shuffled arrival order. The service may reorder scheduling,
-// never arithmetic.
+// levels, per-session thread counts, both precisions, and one or four
+// dispatch lanes, under a seeded-shuffled arrival order. The service
+// may reorder scheduling, never arithmetic.
 TEST_F(ServiceTest, ServiceMatchesSoloBitwiseMatrix)
 {
     const int frames = 3;
@@ -158,34 +160,40 @@ TEST_F(ServiceTest, ServiceMatchesSoloBitwiseMatrix)
                     solo.push_back(
                         soloOutputs(tenants[t].stream, clips[t]));
 
-                ServiceConfig svc_cfg;
-                svc_cfg.startPaused = true;
-                DenoiseService svc(svc_cfg);
-                std::vector<SessionId> ids;
-                for (const SessionConfig &t : tenants)
-                    ids.push_back(svc.openSession(t));
-                submitInterleaved(
-                    svc, ids, clips,
-                    interleaveOrder({frames, frames, frames},
-                                    1000 + static_cast<uint64_t>(threads)));
-                svc.resume();
-                svc.finish();
+                for (int lanes : {1, 4}) {
+                    ServiceConfig svc_cfg;
+                    svc_cfg.shardThreads = lanes;
+                    svc_cfg.startPaused = true;
+                    DenoiseService svc(svc_cfg);
+                    std::vector<SessionId> ids;
+                    for (const SessionConfig &t : tenants)
+                        ids.push_back(svc.openSession(t));
+                    submitInterleaved(
+                        svc, ids, clips,
+                        interleaveOrder({frames, frames, frames},
+                                        1000 +
+                                            static_cast<uint64_t>(threads)));
+                    svc.resume();
+                    svc.finish();
 
-                for (size_t t = 0; t < tenants.size(); ++t) {
-                    for (int f = 0; f < frames; ++f) {
-                        const image::ImageF out = svc.collect(ids[t]);
-                        EXPECT_TRUE(out.raw() == solo[t][f].raw())
-                            << "precision="
-                            << static_cast<int>(precision) << " level="
-                            << static_cast<int>(simd::activeLevel())
-                            << " threads=" << threads << " tenant=" << t
-                            << " frame=" << f;
+                    for (size_t t = 0; t < tenants.size(); ++t) {
+                        for (int f = 0; f < frames; ++f) {
+                            const image::ImageF out = svc.collect(ids[t]);
+                            EXPECT_TRUE(out.raw() == solo[t][f].raw())
+                                << "precision="
+                                << static_cast<int>(precision) << " level="
+                                << static_cast<int>(simd::activeLevel())
+                                << " threads=" << threads
+                                << " lanes=" << lanes << " tenant=" << t
+                                << " frame=" << f;
+                        }
                     }
+                    const ServiceStats stats = svc.stats();
+                    EXPECT_EQ(stats.lanes, lanes);
+                    EXPECT_EQ(stats.frames,
+                              static_cast<uint64_t>(3 * frames));
+                    EXPECT_EQ(stats.rejects, 0u);
                 }
-                const ServiceStats stats = svc.stats();
-                EXPECT_EQ(stats.frames,
-                          static_cast<uint64_t>(3 * frames));
-                EXPECT_EQ(stats.rejects, 0u);
             }
         }
     }
@@ -271,8 +279,8 @@ TEST_F(ServiceTest, ShardedLargeFrameMatchesSolo)
 
 // Live-mode stress for the sanitizers: per-tenant producer and
 // collector threads race submit/collect against the scheduler and
-// dispatcher; every tenant's outputs must still come out in order and
-// bitwise solo-identical.
+// three dispatch lanes; every tenant's outputs must still come out in
+// order and bitwise solo-identical.
 TEST_F(ServiceTest, ConcurrentSubmitCollectStress)
 {
     const int frames = 5;
@@ -291,7 +299,9 @@ TEST_F(ServiceTest, ConcurrentSubmitCollectStress)
         solo.push_back(soloOutputs(tenants[t].stream, clips[t]));
     }
 
-    DenoiseService svc;
+    ServiceConfig svc_cfg;
+    svc_cfg.shardThreads = 3; // three lanes for three sessions
+    DenoiseService svc(svc_cfg);
     std::vector<SessionId> ids;
     for (const SessionConfig &t : tenants)
         ids.push_back(svc.openSession(t));
@@ -320,6 +330,48 @@ TEST_F(ServiceTest, ConcurrentSubmitCollectStress)
     }
     EXPECT_EQ(svc.stats().frames,
               static_cast<uint64_t>(clips.size() * frames));
+    EXPECT_EQ(svc.stats().lanes, 3);
+}
+
+// Dispatch lanes: while one tenant's large frame is in stages on one
+// lane, another tenant's small frames run on the second lane and
+// complete first.
+TEST_F(ServiceTest, SmallFramesCompleteWhileLargeFrameInStages)
+{
+    const int small_frames = 3;
+    const auto big_clip = staticClip(1, 192, 192, 25.0f, 191);
+    const auto small_clip = staticClip(small_frames, 32, 32, 25.0f, 193);
+
+    ServiceConfig svc_cfg;
+    svc_cfg.shardThreads = 2; // two lanes
+    svc_cfg.startPaused = true;
+    DenoiseService svc(svc_cfg);
+    SessionConfig big;
+    big.name = "big";
+    big.stream = smallStreamConfig(1);
+    big.priority = Priority::High; // wins the vtime tie: picked first
+    SessionConfig small;
+    small.name = "small";
+    small.stream = smallStreamConfig(1);
+    small.stream.queueDepth = small_frames;
+    const SessionId big_id = svc.openSession(big);
+    const SessionId small_id = svc.openSession(small);
+    svc.submit(big_id, image::ImageF(big_clip[0]));
+    for (const image::ImageF &frame : small_clip)
+        svc.submit(small_id, image::ImageF(frame));
+    svc.resume();
+    svc.finish();
+
+    const ServiceStats stats = svc.stats();
+    ASSERT_EQ(stats.dispatchOrder.front(), big_id);
+    // 36x the pixels of one small frame, 12x all three of them.
+    const double big_ms = stats.tenants[big_id].latenciesMs.at(0);
+    ASSERT_EQ(stats.tenants[small_id].latenciesMs.size(),
+              static_cast<size_t>(small_frames));
+    for (double ms : stats.tenants[small_id].latenciesMs)
+        EXPECT_LT(ms, big_ms);
+    EXPECT_EQ(stats.lanes, 2);
+    EXPECT_EQ(stats.concurrentFramesMax, 2u);
 }
 
 // The deterministic harness contract: two paused pre-fills with the
@@ -550,7 +602,7 @@ TEST_F(ServiceTest, RejectPolicyQueueBoundDeterministic)
 // Fault injection, slow consumer: a stalled collector on one tenant
 // must not affect any other tenant's outputs or pipeline latency (the
 // output queue is unbounded, so a lazy collect never backpressures the
-// dispatcher), and shutdown must not deadlock.
+// lanes), and shutdown must not deadlock.
 TEST_F(ServiceTest, StalledCollectorDoesNotStallOthers)
 {
     const int frames = 3;
