@@ -221,25 +221,15 @@ recordProbe()
     // bitwise-identical output to the stage-major dense row — recorded
     // as band_hash_match so the CI band-smoke step can assert it — at
     // a fraction of the coefficient-field footprint (mem.peakBandBytes
-    // in the gauges snapshot, gated by --mem-tolerance). Software
-    // prefetch rides the same row since the two ship as one operating
-    // point; its isolated cost is bench_micro_kernels' ssd_prefetch
-    // rows.
+    // in the gauges snapshot, gated by --mem-tolerance).
     bm3d::Bm3dConfig band_cfg = base8;
     band_cfg.band.enabled = true;
-    band_cfg.prefetch = true;
-
-    // Prefetch alone on the stage-major schedule, isolating the
-    // lookahead-hint cost/benefit from the band reordering.
-    bm3d::Bm3dConfig pf_cfg = base8;
-    pf_cfg.prefetch = true;
 
     const bm3d::Bm3dResult r_band = timeVariant(band_cfg, wall_v);
     ablate("band", wall_v, r_band);
     rec.metrics["band_hash_match"] =
         hashImage(r_band.output) == hashImage(rf.output) ? 1.0 : 0.0;
     rec.tagThreads("band_hash_match", 8);
-    ablate("prefetch", wall_v, timeVariant(pf_cfg, wall_v));
 
     const bm3d::Bm3dResult r_fo = timeVariant(fo_cfg, wall_v);
     ablate("fusedoff", wall_v, r_fo);

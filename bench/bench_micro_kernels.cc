@@ -112,7 +112,7 @@ main(int argc, char **argv)
         {"ssd_pair_batch_int16", {}},           {"dct4_fwd_int16", {}},
         {"haar_shrink_fused", {}},              {"wiener_shrink_fused", {}},
         {"aggregate_group", {}},    {"haar_shrink_fused_int16", {}},
-        {"ssd_scan", {}},           {"ssd_scan_prefetch", {}},
+        {"ssd_scan", {}},
     };
 
     // Coefficient-major view of the pool for the SoA kernels: plane k
@@ -386,31 +386,12 @@ main(int argc, char **argv)
             }
         });
 
-        // Prefetch on/off twins of the SoA SSD window scan (DESIGN
-        // §15): same loop shape back to back, the second issuing the
-        // one-run lookahead hint BlockMatcher emits when
-        // Bm3dConfig::prefetch is on — so the ssd_scan vs
-        // ssd_scan_prefetch delta is the hint's isolated cost/benefit
-        // on this host, free of the band schedule's reordering.
+        // The SoA SSD window scan: consecutive 64-candidate runs, the
+        // loop shape BlockMatcher runs over one window row.
         record([&] {
             float out[64];
             for (int it = 0; it < iters; ++it)
                 for (int i = 0; i + 64 <= patches; i += 64) {
-                    k.ssdSoaBatch(pool.data(), soa_planes.data(),
-                                  static_cast<size_t>(i), 16, 64, out);
-                    g_sink += out[0] + out[63];
-                }
-        });
-        record([&] {
-            float out[64];
-            for (int it = 0; it < iters; ++it)
-                for (int i = 0; i + 64 <= patches; i += 64) {
-                    const int next = i + 64;
-                    if (next + 64 <= patches)
-                        for (int kk = 0; kk < 16; ++kk)
-                            for (int off = 0; off < 64; off += 16)
-                                simd::prefetchRead(soa_planes[kk] + next +
-                                                   off);
                     k.ssdSoaBatch(pool.data(), soa_planes.data(),
                                   static_cast<size_t>(i), 16, 64, out);
                     g_sink += out[0] + out[63];

@@ -42,24 +42,6 @@ namespace bm3d {
  */
 inline constexpr int kMaxBatchCandidates = 128;
 
-namespace detail {
-
-/**
- * Issue read-prefetches for every cache line of [begin, begin+bytes).
- * Pure hint (see simd::prefetchRead): dropping or reordering the
- * requests never changes an architectural bit.
- */
-inline void
-prefetchSpan(const void *begin, size_t bytes)
-{
-    const char *p = static_cast<const char *>(begin);
-    const char *end = p + bytes;
-    for (; p < end; p += 64)
-        simd::prefetchRead(p);
-}
-
-} // namespace detail
-
 /** Matching domain over a DCT patch field (BM1, Path A). */
 class DctMatchDomain
 {
@@ -131,26 +113,6 @@ class DctMatchDomain
             out[i] *= norm_;
     }
 
-    /**
-     * Prefetch the candidate run [x0, x1] of row @p y — every
-     * coefficient plane's row segment. Candidates are row-major, so
-     * issuing this while the previous row's SSDs execute (thousands of
-     * cycles for a 49-candidate run) hides the DRAM latency of the
-     * next row's 16 plane segments.
-     */
-    void
-    prefetchRows(int x0, int x1, int y) const
-    {
-        if (x1 < x0)
-            return;
-        const size_t off = field_.matchOffset(x0, y);
-        const size_t bytes =
-            static_cast<size_t>(x1 - x0 + 1) * sizeof(float);
-        const float *const *planes = field_.matchPlanes();
-        for (int k = 0; k < coefs_; ++k)
-            detail::prefetchSpan(planes[k] + off, bytes);
-    }
-
   private:
     const DctPatchField &field_;
     int coefs_;
@@ -177,7 +139,7 @@ class ColorMatchDomain
     static constexpr bool kRawBatch = false;
 
     ColorMatchDomain(const image::ImageF &plane, int patch_size)
-        : patchSize_(patch_size), coefs_(patch_size * patch_size),
+        : coefs_(patch_size * patch_size),
           positionsX_(plane.width() - patch_size + 1),
           positionsY_(plane.height() - patch_size + 1),
           rowStride_(plane.width()),
@@ -242,25 +204,6 @@ class ColorMatchDomain
             out[i] *= norm_;
     }
 
-    /**
-     * Prefetch the candidate run [x0, x1] of row @p y. The planes all
-     * alias one pixel plane: moving the scan from row y-1 to row y
-     * adds exactly one new pixel row (y + patchSize - 1), so a single
-     * span over that row — widened by the patch's column shifts —
-     * covers every plane's new data.
-     */
-    void
-    prefetchRows(int x0, int x1, int y) const
-    {
-        if (x1 < x0)
-            return;
-        const float *row =
-            planes_[(patchSize_ - 1) * patchSize_] + offset(x0, y);
-        detail::prefetchSpan(
-            row, static_cast<size_t>(x1 - x0 + patchSize_) *
-                     sizeof(float));
-    }
-
   private:
     size_t
     offset(int x, int y) const
@@ -268,7 +211,6 @@ class ColorMatchDomain
         return static_cast<size_t>(y) * rowStride_ + x;
     }
 
-    int patchSize_;
     int coefs_;
     int positionsX_;
     int positionsY_;
@@ -360,24 +302,6 @@ class DctMatchDomainI16
                                         count, out);
     }
 
-    /**
-     * Prefetch the candidate run [x0, x1] of row @p y: the pair-
-     * interleaved planes' row segments (the layout the window scan
-     * actually reads — two raws per candidate per pair plane).
-     */
-    void
-    prefetchRows(int x0, int x1, int y) const
-    {
-        if (x1 < x0)
-            return;
-        const size_t off = 2 * field_.matchOffset(x0, y);
-        const size_t bytes =
-            static_cast<size_t>(x1 - x0 + 1) * 2 * sizeof(int16_t);
-        const int16_t *const *planes = field_.matchPairPlanesI16();
-        for (int p = 0; p < coefs_ / 2; ++p)
-            detail::prefetchSpan(planes[p] + off, bytes);
-    }
-
     /** Raw SSD -> the normalized units distanceBatch reports. */
     float
     fromRaw(int32_t raw) const
@@ -460,7 +384,7 @@ class ColorMatchDomainI16
      */
     ColorMatchDomainI16(const image::ImageF &plane, int patch_size,
                         bool deferred = false)
-        : patchSize_(patch_size), coefs_(patch_size * patch_size),
+        : coefs_(patch_size * patch_size),
           positionsX_(plane.width() - patch_size + 1),
           positionsY_(plane.height() - patch_size + 1),
           rowStride_(plane.width()), fmt_(fixed::colorMatchFormat()),
@@ -557,23 +481,6 @@ class ColorMatchDomainI16
                                        offset(x0, y), coefs_, count, out);
     }
 
-    /**
-     * Prefetch the candidate run [x0, x1] of row @p y. Like
-     * ColorMatchDomain, every plane aliases the one quantized copy, so
-     * the single new pixel row (y + patchSize - 1) covers all of them.
-     */
-    void
-    prefetchRows(int x0, int x1, int y) const
-    {
-        if (x1 < x0)
-            return;
-        const int16_t *row =
-            planes_[(patchSize_ - 1) * patchSize_] + offset(x0, y);
-        detail::prefetchSpan(
-            row, static_cast<size_t>(x1 - x0 + patchSize_) *
-                     sizeof(int16_t));
-    }
-
     /** Raw SSD -> the normalized units distanceBatch reports. */
     float
     fromRaw(int32_t raw) const
@@ -595,7 +502,6 @@ class ColorMatchDomainI16
         return static_cast<size_t>(y) * rowStride_ + x;
     }
 
-    int patchSize_;
     int coefs_;
     int positionsX_;
     int positionsY_;
@@ -627,17 +533,13 @@ class BlockMatcher
      * @param tau_match     match-distance threshold Tmatch
      * @param max_matches   best-match list capacity (16)
      * @param bounded       use early-exit distances (software opt.)
-     * @param prefetch      issue software read-prefetches one window
-     *                      row ahead of the batched SSD scan
-     *                      (Bm3dConfig::prefetch; bitwise no-op)
      */
     BlockMatcher(const Domain &domain, int window, int search_stride,
                  int ref_stride, float tau_match, int max_matches,
-                 bool bounded = true, bool prefetch = false)
+                 bool bounded = true)
         : domain_(domain), half_((window - 1) / 2),
           searchStride_(search_stride), refStride_(ref_stride),
-          tauMatch_(tau_match), maxMatches_(max_matches), bounded_(bounded),
-          prefetch_(prefetch)
+          tauMatch_(tau_match), maxMatches_(max_matches), bounded_(bounded)
     {
         if constexpr (Domain::kRawBatch)
             rawTau_ = domain.rawThreshold(tau_match);
@@ -692,12 +594,6 @@ class BlockMatcher
             typename Domain::DescType ref[64];
             domain_.gatherRef(xr, yr, ref);
             for (int y = y_lo; y <= y_hi; ++y) {
-                // One row of lookahead: the next row's plane segments
-                // start their DRAM trip while this row's ~window x
-                // coefs SSD lanes execute (DESIGN §15). Pure hint —
-                // the scan's arithmetic is untouched.
-                if (prefetch_ && y < y_hi)
-                    domain_.prefetchRows(x_lo, x_hi, y + 1);
                 if (y == yr) {
                     considerRun(ref, x_lo, xr - 1, y, out, scan,
                                 evaluated, pruned_local);
@@ -857,8 +753,6 @@ class BlockMatcher
             typename Domain::DescType ref[64];
             domain_.gatherRef(xr, yr, ref);
             for (int y = wy_lo; y <= wy_hi; ++y) {
-                if (prefetch_ && y < wy_hi)
-                    domain_.prefetchRows(wx_lo, wx_hi, y + 1);
                 if (y == yr) {
                     considerRun(ref, wx_lo, xr - 1, y, out, scan,
                                 evaluated, pruned_local);
@@ -1045,7 +939,6 @@ class BlockMatcher
     int32_t rawTau_ = 0; ///< exact raw tau (kRawBatch domains only)
     int maxMatches_;
     bool bounded_;
-    bool prefetch_;
 };
 
 } // namespace bm3d

@@ -602,7 +602,7 @@ class StageRunner
           basic_(basic), field_(field), opts_(opts),
           matcher_(domain, cfg.searchWindow(stage), cfg.searchStride,
                    cfg.refStride, cfg.tauMatch(stage), cfg.maxMatches,
-                   cfg.boundedDistance, cfg.prefetch),
+                   cfg.boundedDistance),
           xs_(makeRefPositions(domain.positionsX() - 1, cfg.refStride)),
           ys_(makeRefPositions(domain.positionsY() - 1, cfg.refStride)),
           tiles_(parallel::makeTiles(static_cast<int>(xs_.size()),

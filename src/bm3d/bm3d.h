@@ -26,11 +26,11 @@ class DctPatchField;
 struct TemporalSeed;
 
 /**
- * Optional plumbing of a runStage() call, used by the streaming
- * runtime (src/runtime). All members default to "off"; the plain
- * runStage overload forwards an empty StageOptions, and every
- * combination produces bitwise-identical output except an active
- * `seed` (which changes which candidates BM1 scores).
+ * Optional plumbing of a runStage() call, used by the frame pipeline
+ * (src/service; StreamDenoiser runs on it). All members default to
+ * "off"; the plain runStage overload forwards an empty StageOptions,
+ * and every combination produces bitwise-identical output except an
+ * active `seed` (which changes which candidates BM1 scores).
  */
 struct StageOptions
 {

@@ -256,14 +256,6 @@ struct Bm3dConfig
     BandConfig band;
 
     /**
-     * Issue software read-prefetches one window row ahead of the SSD
-     * scan in the block matcher (DESIGN §15). Semantically a no-op —
-     * output is bitwise identical either way — so this is a pure perf
-     * ablation knob, the CPU mirror of bench_tab08's prefetch rows.
-     */
-    bool prefetch = false;
-
-    /**
      * Joint sharpening (paper Sec. 7): after shrinkage, coefficient
      * magnitudes are raised to the power 1/alpha (alpha-rooting) for
      * alpha > 1. 1.0 means no sharpening.

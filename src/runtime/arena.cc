@@ -1,9 +1,17 @@
 #include "runtime/arena.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace ideal {
 namespace runtime {
+
+BufferArena::~BufferArena()
+{
+    if (charged_ > 0)
+        obs::chargeResidentBytes(-charged_);
+}
 
 BufferArena::FreeList::iterator
 BufferArena::servingLocked(size_t count)
@@ -43,6 +51,7 @@ BufferArena::ensure(std::vector<float> &buf, size_t count)
         } else {
             ++stats_.misses;
             stats_.bytesNew += count * sizeof(float);
+            charged_ += static_cast<int64_t>(count * sizeof(float));
         }
         if (buf.capacity() > 0) {
             free_.emplace(buf.capacity(), std::move(buf));
@@ -62,7 +71,7 @@ BufferArena::ensure(std::vector<float> &buf, size_t count)
     // Fresh heap bytes enter the process-wide resident-footprint
     // ledger; recycled buffers were charged when first allocated and
     // stay resident while they sit in the free list, so hits and
-    // releases are ledger-neutral.
+    // releases are ledger-neutral. The destructor debits the balance.
     obs::chargeResidentBytes(
         static_cast<int64_t>(count * sizeof(float)));
 }
@@ -108,6 +117,8 @@ BufferArena::trim()
             freed += static_cast<int64_t>(buf.capacity()) *
                      static_cast<int64_t>(sizeof(float));
         free_.clear();
+        freed = std::min(freed, charged_);
+        charged_ -= freed;
     }
     if (freed > 0)
         obs::chargeResidentBytes(-freed);

@@ -49,14 +49,21 @@ namespace runtime {
  *    drops it otherwise — the free list stays bounded however many
  *    frames are recycled.
  *
- * Thread-safe; the streaming runtime calls it from the prepass and
- * driver threads concurrently (their buffer size classes are disjoint,
- * which keeps the hit/miss totals deterministic — see DESIGN §9).
+ * Fresh allocations are charged to the process-wide resident ledger
+ * (obs::chargeResidentBytes). The arena keeps the balance of what it
+ * charged; trim() and the destructor debit it, so a dead arena leaves
+ * the ledger where it found it.
+ *
+ * Thread-safe; the service calls it from the scheduler (prepass) and
+ * lane threads concurrently (their buffer size classes are disjoint,
+ * which keeps the hit/miss totals deterministic — see DESIGN §13).
  */
 class BufferArena
 {
   public:
     BufferArena() = default;
+    /** Debits every byte this arena charged to the resident ledger. */
+    ~BufferArena();
     BufferArena(const BufferArena &) = delete;
     BufferArena &operator=(const BufferArena &) = delete;
 
@@ -92,13 +99,18 @@ class BufferArena
      * Keep @p buf's storage only when no free buffer would serve an
      * acquire(buf.size()); otherwise free it. Ledger-neutral like
      * release(): in the steady state the storage freed here is an
-     * input frame the pipeline adopted, which was never charged.
+     * input frame the pipeline adopted, which was never charged (the
+     * destructor settles whatever was).
      */
     void offer(std::vector<float> &&buf);
 
     Stats stats() const;
 
-    /** Drop all free buffers (tests; steady streams never need it). */
+    /**
+     * Drop all free buffers (tests; steady streams never need it). The
+     * ledger debit is capped by the arena's balance, so freeing adopted
+     * input frames it never charged cannot drive the ledger down.
+     */
     void trim();
 
   private:
@@ -115,6 +127,7 @@ class BufferArena
     mutable std::mutex mutex_;
     FreeList free_; ///< by capacity
     Stats stats_;
+    int64_t charged_ = 0; ///< resident-ledger bytes not yet debited
 };
 
 } // namespace runtime

@@ -3,20 +3,21 @@
 
 /**
  * @file
- * Streaming frame-pipeline runtime (DESIGN §9): a StreamDenoiser owns
- * the use of the global thread pool and pipelines consecutive video
- * frames through BM3D with
+ * Streaming frame-pipeline runtime (DESIGN §9): a StreamDenoiser
+ * pipelines consecutive video frames through BM3D as a one-session
+ * service::DenoiseService — one session, one dispatch lane, no
+ * sharding — so the service code is the only frame pipeline:
  *
  *  - a bounded, in-order submit()/collect() frame queue (submit blocks
  *    when queueDepth frames are waiting: backpressure toward the
  *    producer);
- *  - a DCT1 prepass thread that computes frame t+1's patch field while
- *    the driver thread runs frame t's matching/denoising stages
- *    (cross-frame stage overlap, visible as "stream.prepass" /
- *    "stream.frame" spans in the Chrome trace);
+ *  - the service's scheduler thread computes frame t+1's DCT1 patch
+ *    field while its lane runs frame t's matching/denoising stages
+ *    (cross-frame stage overlap, "service.prepass" / "service.frame"
+ *    spans in the Chrome trace);
  *  - one BufferArena recycling every large per-frame buffer, so the
- *    steady state performs no heap allocation (proven by the
- *    arena.bytesNew counter staying flat from frame 3 on);
+ *    steady state performs no heap allocation (DESIGN §13: field
+ *    slots, arena and seeding are described once, there);
  *  - optional temporal match seeding (StreamConfig::temporalSeed):
  *    frame t's BM1 reuses frame t-1's per-cell match lists behind an
  *    MR-style descriptor check, scanning a small re-verification
@@ -28,24 +29,20 @@
  * only changes where buffers live).
  */
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "bm3d/bm3d.h"
-#include "bm3d/patchfield.h"
 #include "bm3d/profile.h"
-#include "bm3d/seeding.h"
 #include "image/image.h"
 #include "runtime/arena.h"
-#include "transforms/dct.h"
 
 namespace ideal {
+namespace service {
+class DenoiseService;
+} // namespace service
+
 namespace runtime {
 
 /** Configuration of a streaming run. */
@@ -55,8 +52,8 @@ struct StreamConfig
     bm3d::Bm3dConfig frame;
 
     /// Maximum frames waiting in the input queue before submit()
-    /// blocks. (The prepass and driver hold up to one frame each on
-    /// top of this.)
+    /// blocks. (The prepass and the stages hold up to one frame each
+    /// on top of this.)
     int queueDepth = 3;
 
     /// Seed frame t's BM1 with frame t-1's match lists. Changes which
@@ -103,11 +100,10 @@ struct StreamStats
  * Pipelined video denoiser over the per-frame Bm3d engine.
  *
  * Threading model: submit()/collect() are called by the user (from one
- * or more threads); internally one prepass thread computes DCT1 fields
- * and one driver thread runs the BM3D stages (the driver is the only
- * thread that dispatches to the global ThreadPool, so nested-run
- * restrictions never trigger). Frames come out of collect() in submit
- * order.
+ * or more threads); internally the service's scheduler thread computes
+ * DCT1 fields and its one lane runs the BM3D stages (the lane is the
+ * only thread that dispatches to the global ThreadPool). Frames come
+ * out of collect() in submit order.
  *
  * Lifecycle: submit each frame, call finish(), collect every output
  * (collect may also be called concurrently with submission — the
@@ -146,100 +142,17 @@ class StreamDenoiser
      * frame already feeds the next output), so recycling every output
      * holds the free list steady instead of growing it a frame a time.
      */
-    void
-    recycle(image::ImageF &&frame)
-    {
-        arena_.offer(frame.takeStorage());
-    }
+    void recycle(image::ImageF &&frame);
 
     const StreamConfig &config() const { return config_; }
-    BufferArena &arena() { return arena_; }
+    BufferArena &arena();
 
     /** Snapshot of the stream statistics (complete after finish()). */
     StreamStats stats() const;
 
   private:
-    /// A submitted frame plus its enqueue time (latency starts here).
-    struct InputItem
-    {
-        image::ImageF frame;
-        std::chrono::steady_clock::time_point enqueued;
-    };
-
-    /**
-     * Persistent prepass workspace: the matching plane copy and the
-     * DCT1 field of one in-flight frame. Two slots ping-pong between
-     * the prepass (building t+1) and the driver (matching t), and
-     * their arena-backed storage is ensured in place. Free slots are
-     * handed out first-in first-out, so frames 1 and 2 always warm
-     * both slots and from frame 3 on the prepass allocates nothing,
-     * however the two threads interleave.
-     */
-    struct FieldSlot
-    {
-        image::ImageF plane0;
-        bm3d::DctPatchField field;
-        bm3d::Profile prepassProfile;
-    };
-
-    /// A frame whose DCT1 field is ready for the driver.
-    struct MidItem
-    {
-        image::ImageF frame;
-        FieldSlot *slot = nullptr;
-        std::chrono::steady_clock::time_point enqueued;
-    };
-
-    void prepassMain();
-    void driverMain();
-    void processFrame(MidItem item);
-    void fail(std::exception_ptr error);
-
     StreamConfig config_;
-    bm3d::Bm3d bm3d_;
-    transforms::Dct2D dct_;
-    float tht_; ///< DCT1 hard threshold (lambda2d * sigma)
-    BufferArena arena_;
-
-    static constexpr int kSlots = 2; ///< prepass + driver, ping-pong
-    std::vector<std::unique_ptr<FieldSlot>> slots_;
-
-    /// One mutex + one cv guard every queue and flag below: state
-    /// changes are per-frame, so contention is negligible, and a
-    /// single notify_all after each transition keeps the protocol
-    /// obviously deadlock-free (every waiter re-checks its predicate).
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-
-    std::deque<InputItem> inputQueue_;       ///< bounded by queueDepth
-    std::deque<MidItem> midQueue_;           ///< bounded to 1
-    std::deque<FieldSlot *> freeSlots_;      ///< FIFO, see FieldSlot
-    std::deque<image::ImageF> outputQueue_;  ///< unbounded, see class doc
-    bool inputClosed_ = false;
-    bool prepassDone_ = false; ///< prepass drained its side of the queue
-    bool outputClosed_ = false;
-    std::exception_ptr error_;
-
-    // Stream-lifetime state below is written by the driver (and
-    // submit() for shape/t0) under mutex_.
-    int width_ = 0, height_ = 0, channels_ = 0; ///< 0 until first frame
-    bool haveT0_ = false;
-    std::chrono::steady_clock::time_point t0_;
-    std::chrono::steady_clock::time_point lastDone_;
-    uint64_t framesDone_ = 0;
-    uint64_t steadyBaseline_ = 0; ///< arena bytesNew after 2nd frame
-    std::vector<double> latenciesMs_;
-    uint64_t seedRefs_ = 0;
-    uint64_t seedHits_ = 0;
-    bm3d::Profile profile_;
-
-    // Driver-thread-only seeding state (no locking needed).
-    bm3d::SeedStore seedStores_[2]; ///< ping-pong: read t-1, write t
-    uint64_t frameIndex_ = 0;
-
-    std::thread prepass_;
-    std::thread driver_;
-    bool joined_ = false;
+    std::unique_ptr<service::DenoiseService> service_;
 };
 
 } // namespace runtime

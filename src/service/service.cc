@@ -101,8 +101,7 @@ ServiceConfig::validate() const
 }
 
 /**
- * Persistent prepass workspace (the StreamDenoiser FieldSlot, one
- * ping-pong pair per session): the matching plane copy and the DCT1
+ * Persistent prepass workspace: the matching plane copy and the DCT1
  * field of one in-flight frame, arena-backed and ensured in place so a
  * warm slot allocates nothing.
  */
@@ -192,8 +191,8 @@ struct DenoiseService::Session
     uint64_t frameIndex = 0;
 };
 
-DenoiseService::DenoiseService(ServiceConfig config)
-    : config_(std::move(config)),
+DenoiseService::DenoiseService(ServiceConfig config, const char *scope)
+    : config_(std::move(config)), scope_(scope),
       laneCount_(parallel::clampThreads(config_.shardThreads))
 {
     config_.validate();
@@ -348,15 +347,17 @@ DenoiseService::collect(SessionId id)
     throw std::logic_error("DenoiseService: collect on drained session");
 }
 
+runtime::BufferArena &
+DenoiseService::sessionArena(SessionId id)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sessionAt(id).arena;
+}
+
 void
 DenoiseService::recycle(SessionId id, image::ImageF &&frame)
 {
-    Session *s;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        s = &sessionAt(id);
-    }
-    s->arena.offer(frame.takeStorage());
+    sessionArena(id).offer(frame.takeStorage());
 }
 
 void
@@ -734,18 +735,19 @@ void
 DenoiseService::exportMetricsLocked()
 {
     // Service- and tenant-scope counters for bench records and the
-    // bench_diff.py gates. Every counter here is deterministic for a
-    // deterministic workload (scheduling cannot change admission
+    // bench_diff.py gates, under "<scope_>." ("stream." when this is a
+    // StreamDenoiser's service). Every counter here is deterministic
+    // for a deterministic workload (scheduling cannot change admission
     // outcomes of a pre-filled run, and each tenant's arena traffic is
     // the solo traffic); queue high-water and the concurrent-frame
     // high-water are Max metrics and the lane count a Gauge, so they
     // land under "gauges", outside the --ops-tolerance 0 gate.
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    reg.add("service.frames", static_cast<double>(framesDone_));
-    reg.add("service.rejects", static_cast<double>(rejectsTotal_));
-    reg.add("service.tenants", static_cast<double>(sessions_.size()));
-    reg.set("service.lanes", static_cast<double>(laneCount_));
-    reg.setMax("service.concurrentFramesMax",
+    reg.add(scope_ + ".frames", static_cast<double>(framesDone_));
+    reg.add(scope_ + ".rejects", static_cast<double>(rejectsTotal_));
+    reg.add(scope_ + ".tenants", static_cast<double>(sessions_.size()));
+    reg.set(scope_ + ".lanes", static_cast<double>(laneCount_));
+    reg.setMax(scope_ + ".concurrentFramesMax",
                static_cast<double>(stagedMax_));
     for (auto &up : sessions_) {
         Session &s = *up;
@@ -763,8 +765,7 @@ DenoiseService::exportMetricsLocked()
                       static_cast<double>(steady));
         s.metrics.setMax("queueHighWater",
                          static_cast<double>(s.queueHighWater));
-        reg.merge(s.metrics.snapshot(),
-                  "service." + s.config.name + ".");
+        reg.merge(s.metrics.snapshot(), scope_ + "." + s.config.name + ".");
     }
 }
 

@@ -5,13 +5,14 @@
  * @file
  * Multi-tenant denoise service (DESIGN §13): a DenoiseService
  * multiplexes N independent tenant sessions over the single shared
- * work-stealing pool.
+ * work-stealing pool. It is the repository's only frame pipeline:
+ * runtime::StreamDenoiser is a one-session DenoiseService (DESIGN §9).
  *
  *  - Each session owns a StreamConfig (per-frame BM3D configuration +
  *    bounded queue depth + temporal seeding knobs), a priority class,
  *    a weighted-fair share, and a *private* BufferArena — tenants
  *    never exchange storage, and each tenant's steady state stays
- *    malloc-free exactly as a solo StreamDenoiser's does.
+ *    malloc-free.
  *
  *  - Admission control is two-level: a per-session bounded input
  *    queue (StreamConfig::queueDepth) plus a shared queued-frame
@@ -38,12 +39,13 @@
  *    only on the image size, never the worker count, so sharding (or
  *    any scheduling decision) can never change a tenant's output.
  *
- * Determinism contract: per-session output is bitwise identical to a
- * solo runtime::StreamDenoiser run of the same StreamConfig over the
- * same admitted frames — for every SIMD level, thread count, and
- * precision. The service layer may reorder *scheduling*, never
- * *arithmetic*: frames of one session are processed sequentially in
- * submit order with the session's own engine, seed stores, and arena.
+ * Determinism contract: per-session output is bitwise identical to
+ * the same session run alone (a runtime::StreamDenoiser of the same
+ * StreamConfig) over the same admitted frames — for every SIMD level,
+ * thread count, and precision. The service layer may reorder
+ * *scheduling*, never *arithmetic*: frames of one session are
+ * processed sequentially in submit order with the session's own
+ * engine, seed stores, and arena.
  */
 
 #include <chrono>
@@ -55,9 +57,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "image/image.h"
+#include "runtime/arena.h"
 #include "runtime/stream.h"
 
 namespace ideal {
@@ -166,31 +170,18 @@ struct ServiceConfig
     void validate() const;
 };
 
-/** Per-tenant statistics snapshot. */
-struct TenantStats
+/**
+ * Per-tenant statistics snapshot: the session's stream statistics
+ * (latency runs from admission to output ready, wall time from the
+ * first admit) plus its admission and fault counters.
+ */
+struct TenantStats : runtime::StreamStats
 {
     std::string name;
     uint64_t admitted = 0; ///< frames accepted by admission control
     uint64_t rejects = 0;  ///< frames refused (Reject policy)
-    uint64_t frames = 0;   ///< frames fully processed
     uint64_t dropped = 0;  ///< outputs discarded by fault injection
     uint64_t queueHighWater = 0; ///< max input-queue occupancy seen
-
-    /// Per-frame latency (admission to output ready), submit order.
-    std::vector<double> latenciesMs;
-    double wallSeconds = 0; ///< first admit to last frame done
-
-    uint64_t arenaHits = 0;
-    uint64_t arenaMisses = 0;
-    uint64_t arenaBytesNew = 0;
-    /// Fresh heap bytes via this tenant's arena after its 2nd frame
-    /// completed — 0 in the malloc-free steady state.
-    uint64_t arenaBytesNewSteady = 0;
-
-    uint64_t seedRefs = 0;
-    uint64_t seedHits = 0;
-
-    bm3d::Profile profile; ///< per-step accounting, frames in order
 };
 
 /** Service-wide statistics snapshot. */
@@ -238,7 +229,10 @@ class DenoiseService
 {
   public:
     /** @throws std::invalid_argument when the config is inconsistent */
-    explicit DenoiseService(ServiceConfig config = ServiceConfig());
+    explicit DenoiseService(ServiceConfig config = ServiceConfig())
+        : DenoiseService(std::move(config), "service")
+    {
+    }
 
     /** Implies finish(); uncollected outputs are discarded. */
     ~DenoiseService();
@@ -293,8 +287,20 @@ class DenoiseService
     ServiceStats stats() const;
 
   private:
+    friend class runtime::StreamDenoiser;
+
     struct Session;   // defined in service.cc
     struct FieldSlot; // defined in service.cc
+
+    /**
+     * A service whose metrics land under "<scope>." instead of
+     * "service.", so a runtime::StreamDenoiser (scope "stream") never
+     * adds to or overwrites a real service's counters and gauges.
+     */
+    DenoiseService(ServiceConfig config, const char *scope);
+
+    /// @p id's private arena (runtime::StreamDenoiser::arena()).
+    runtime::BufferArena &sessionArena(SessionId id);
 
     /// A frame whose DCT1 field is ready for a lane.
     struct MidItem
@@ -317,11 +323,12 @@ class DenoiseService
     void fail(std::exception_ptr error);
 
     ServiceConfig config_;
+    const std::string scope_; ///< metrics prefix: "service" or "stream"
 
     /// One mutex + one cv guard every queue, flag, and per-session
-    /// counter (the StreamDenoiser protocol, N-session edition): state
-    /// changes are per-frame, so contention is negligible, and one
-    /// notify_all per transition keeps every wait predicate honest.
+    /// counter: state changes are per-frame, so contention is
+    /// negligible, and one notify_all per transition keeps every wait
+    /// predicate honest.
     mutable std::mutex mutex_;
     std::condition_variable cv_;
 

@@ -356,24 +356,6 @@ struct KernelTable
                               int16_t threshold, int16_t factor_q15);
 };
 
-/**
- * Read-prefetch hint: request @p p's cache line into all cache levels
- * ahead of a demand load. Semantically a no-op — issuing, reordering
- * or dropping prefetches never changes a single architectural bit, so
- * the bitwise-determinism contract above is preserved trivially. The
- * block matcher issues these one window row ahead of the SSD scan
- * (DESIGN §15), the CPU analog of IDEALMR's sliding-window prefetcher.
- */
-inline void
-prefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0 /* read */, 3 /* high temporal locality */);
-#else
-    (void)p;
-#endif
-}
-
 /** Best level this CPU supports (probed once). */
 Level bestSupported();
 

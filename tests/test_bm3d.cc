@@ -778,8 +778,7 @@ TEST(Bm3dBand, BitwiseMatrixAcrossLevelsThreadsPrecisions)
     // The PR's acceptance matrix: band scheduling reorders work, never
     // arithmetic — for each matching precision the banded pipeline's
     // output equals the stage-major reference bit for bit, at every
-    // SIMD dispatch level and thread count, with prefetch both off and
-    // on (prefetches are pure hints).
+    // SIMD dispatch level and thread count.
     auto scene = makeTestScene(image::SceneKind::Street, 48, 25.0f, 60);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
@@ -795,23 +794,15 @@ TEST(Bm3dBand, BitwiseMatrixAcrossLevelsThreadsPrecisions)
              ++l) {
             simd::setLevel(static_cast<simd::Level>(l));
             for (int threads : {1, 8}) {
-                for (bool prefetch : {false, true}) {
-                    banded.numThreads = threads;
-                    banded.prefetch = prefetch;
-                    auto r = Bm3d(banded).denoise(scene.noisy);
-                    SCOPED_TRACE(testing::Message()
-                                 << "precision="
-                                 << static_cast<int>(precision)
-                                 << " level="
-                                 << simd::toString(
-                                        static_cast<simd::Level>(l))
-                                 << " threads=" << threads
-                                 << " prefetch=" << prefetch);
-                    EXPECT_EQ(image::maxAbsDiff(ref.basic, r.basic),
-                              0.0);
-                    EXPECT_EQ(image::maxAbsDiff(ref.output, r.output),
-                              0.0);
-                }
+                banded.numThreads = threads;
+                auto r = Bm3d(banded).denoise(scene.noisy);
+                SCOPED_TRACE(testing::Message()
+                             << "precision=" << static_cast<int>(precision)
+                             << " level="
+                             << simd::toString(static_cast<simd::Level>(l))
+                             << " threads=" << threads);
+                EXPECT_EQ(image::maxAbsDiff(ref.basic, r.basic), 0.0);
+                EXPECT_EQ(image::maxAbsDiff(ref.output, r.output), 0.0);
             }
         }
         simd::setLevel(simd::bestSupported());
@@ -915,28 +906,6 @@ TEST(Bm3dBand, WienerDisabledStillBands)
     cfg.band.rows = 8;
     auto r = Bm3d(cfg).denoise(scene.noisy);
     EXPECT_EQ(image::maxAbsDiff(ref.output, r.output), 0.0);
-}
-
-TEST(Bm3dBand, PrefetchAloneIsBitwiseNoOp)
-{
-    // The prefetch knob without banding: same stage-major schedule,
-    // hints only — outputs and candidate counts identical.
-    auto scene = makeTestScene(image::SceneKind::Street, 48, 25.0f, 66);
-    for (bm3d::Precision precision :
-         {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
-        Bm3dConfig cfg = smallConfig();
-        cfg.precision = precision;
-        auto ref = Bm3d(cfg).denoise(scene.noisy);
-        cfg.prefetch = true;
-        auto r = Bm3d(cfg).denoise(scene.noisy);
-        SCOPED_TRACE(static_cast<int>(precision));
-        EXPECT_EQ(image::maxAbsDiff(ref.basic, r.basic), 0.0);
-        EXPECT_EQ(image::maxAbsDiff(ref.output, r.output), 0.0);
-        EXPECT_EQ(ref.profile.mr().bm1Candidates,
-                  r.profile.mr().bm1Candidates);
-        EXPECT_EQ(ref.profile.mr().bm2Candidates,
-                  r.profile.mr().bm2Candidates);
-    }
 }
 
 TEST(Bm3dBand, CountersAndFootprintGauges)

@@ -532,7 +532,6 @@ TEST_F(BandMatrix, BandScheduleMatchesStageMajorBitwise)
                 for (int rows : {4, 16, 1000}) {
                     cfg.band.enabled = true;
                     cfg.band.rows = rows;
-                    cfg.prefetch = true;
                     auto banded = bm3d::Bm3d(cfg).denoise(noisy);
                     EXPECT_TRUE(stage_major.basic.raw() == banded.basic.raw())
                         << "precision=" << static_cast<int>(precision)
@@ -544,7 +543,6 @@ TEST_F(BandMatrix, BandScheduleMatchesStageMajorBitwise)
                         << " level=" << static_cast<int>(level)
                         << " threads=" << threads << " rows=" << rows;
                     cfg.band.enabled = false;
-                    cfg.prefetch = false;
                 }
             }
         }

@@ -4,12 +4,15 @@
  * stream-vs-batch bitwise equality across SIMD levels and thread
  * counts, concurrent submit/collect under the sanitizers, temporal
  * seeding quality and work reduction, arena steady-state accounting,
+ * the resident ledger after teardown (also with frames in flight),
  * lifecycle errors, and the video DCT1 prepass banding determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -163,7 +166,6 @@ TEST_F(RuntimeTest, BandScheduleComposesWithStreamBitwise)
     const auto plain_stream = streamOutputs(cfg, clip);
     cfg.frame.band.enabled = true;
     cfg.frame.band.rows = 8;
-    cfg.frame.prefetch = true;
     const auto banded_batch = batchOutputs(cfg.frame, clip);
     const auto banded_stream = streamOutputs(cfg, clip);
     ASSERT_EQ(plain_stream.size(), banded_stream.size());
@@ -310,6 +312,49 @@ TEST_F(RuntimeTest, RecyclingKeepsArenaFreeListBounded)
                 << "wiener=" << wiener << " recycle=" << recycle;
         }
     }
+}
+
+// Every byte the stream's arena charged to the process-wide resident
+// ledger is debited when the stream dies, so a process that builds
+// several streams does not overstate every later peak.
+TEST_F(RuntimeTest, DestroyedStreamReturnsResidentLedger)
+{
+    const int frames = 6;
+    const auto clip = staticClip(frames, 64, 64, 25.0f, 97);
+    const int64_t before = obs::residentBytes();
+    {
+        StreamDenoiser stream(smallStreamConfig(1, /*wiener=*/true));
+        for (const image::ImageF &frame : clip)
+            stream.submit(image::ImageF(frame));
+        stream.finish();
+        for (int f = 0; f < frames; ++f)
+            (void)stream.collect(); // outputs dropped
+        EXPECT_GT(obs::residentBytes(), before);
+    }
+    EXPECT_EQ(obs::residentBytes(), before);
+}
+
+// Teardown with frames in flight: the destructor returns once the
+// queued and staged frames are through, with uncollected outputs
+// discarded, and the stream leaves nothing behind in the ledger.
+TEST_F(RuntimeTest, DestructorWithFramesInFlight)
+{
+    const auto clip = staticClip(8, 64, 64, 25.0f, 101);
+    StreamConfig cfg = smallStreamConfig(2, /*wiener=*/true);
+    cfg.queueDepth = 5;
+    const int64_t before = obs::residentBytes();
+    auto stream = std::make_unique<StreamDenoiser>(cfg);
+    for (const image::ImageF &frame : clip)
+        stream->submit(image::ImageF(frame));
+    // One output uncollected; the rest are in stages, in the prepass or
+    // still queued.
+    while (stream->stats().frames == 0)
+        std::this_thread::yield();
+    const auto start = std::chrono::steady_clock::now();
+    stream.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(30));
+    EXPECT_EQ(obs::residentBytes(), before);
 }
 
 TEST_F(RuntimeTest, LifecycleErrors)

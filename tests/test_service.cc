@@ -8,14 +8,17 @@
  * paused pre-fill harness;
  * priority-tiered throttling (low rejected before high misses its
  * queue bound); fault-injection isolation (stalled / dead collectors);
- * BufferArena cross-tenant isolation; and lifecycle errors. The binary
- * carries the sanitize label, so the submit/collect stress runs under
- * TSan in CI.
+ * BufferArena cross-tenant isolation; a solo stream's separate metrics
+ * scope; the resident ledger after teardown (also with frames in
+ * flight); and lifecycle errors. The binary carries the sanitize
+ * label, so the submit/collect stress runs under TSan in CI.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -803,6 +806,115 @@ TEST_F(ServiceTest, ArenaPerTenantSteadyStateZero)
     EXPECT_EQ(snap.value("service.steady1.arena.bytesNewSteady"), 0.0);
     EXPECT_EQ(snap.kind("service.steady0.queueHighWater"),
               obs::MetricKind::Max);
+}
+
+// A StreamDenoiser is a one-session service with its own metrics scope:
+// a stream that finishes next to a live service leaves the service's
+// frame, tenant and lane metrics at the values the service alone sets.
+TEST_F(ServiceTest, SoloStreamLeavesServiceMetricsAlone)
+{
+    const int frames = 3;
+    const auto clip = staticClip(frames, 32, 32, 25.0f, 211);
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const obs::MetricsSnapshot before = reg.snapshot();
+
+    ServiceConfig svc_cfg;
+    svc_cfg.shardThreads = 2; // two lanes; a stream has one
+    DenoiseService svc(svc_cfg);
+    std::vector<SessionId> ids;
+    for (int t = 0; t < 2; ++t) {
+        SessionConfig tenant;
+        tenant.name = "beside" + std::to_string(t);
+        tenant.stream = smallStreamConfig(1);
+        ids.push_back(svc.openSession(tenant));
+    }
+    StreamDenoiser stream(smallStreamConfig(1));
+    for (int f = 0; f < frames; ++f) {
+        stream.submit(image::ImageF(clip[f]));
+        for (SessionId id : ids)
+            svc.submit(id, image::ImageF(clip[f]));
+    }
+    svc.finish(); // the service exports its metrics here
+    stream.finish(); // the stream exports after it, service still live
+    for (int f = 0; f < frames; ++f)
+        (void)stream.collect();
+
+    const obs::MetricsSnapshot after = reg.snapshot();
+    auto added = [&](const std::string &name) {
+        return after.value(name) - before.value(name);
+    };
+    EXPECT_EQ(added("service.frames"), 2.0 * frames);
+    EXPECT_EQ(added("service.tenants"), 2.0);
+    EXPECT_EQ(after.value("service.lanes"), 2.0);
+    EXPECT_EQ(added("stream.frames"), static_cast<double>(frames));
+    EXPECT_EQ(added("stream.solo.frames"), static_cast<double>(frames));
+}
+
+// The two-session counterpart of the stream's ledger test: destroying
+// the service debits everything its tenants' arenas charged.
+TEST_F(ServiceTest, DestroyedServiceReturnsResidentLedger)
+{
+    const int frames = 6;
+    const std::vector<std::vector<image::ImageF>> clips = {
+        staticClip(frames, 64, 64, 25.0f, 223),
+        staticClip(frames, 48, 40, 25.0f, 227),
+    };
+    const int64_t before = obs::residentBytes();
+    {
+        DenoiseService svc;
+        std::vector<SessionId> ids;
+        for (size_t t = 0; t < clips.size(); ++t) {
+            SessionConfig tenant;
+            tenant.name = "ledger" + std::to_string(t);
+            tenant.stream = smallStreamConfig(1, /*wiener=*/t == 0);
+            ids.push_back(svc.openSession(tenant));
+        }
+        for (int f = 0; f < frames; ++f)
+            for (size_t t = 0; t < clips.size(); ++t)
+                svc.submit(ids[t], image::ImageF(clips[t][f]));
+        svc.finish();
+        for (size_t t = 0; t < clips.size(); ++t)
+            for (int f = 0; f < frames; ++f)
+                (void)svc.collect(ids[t]); // outputs dropped
+        EXPECT_GT(obs::residentBytes(), before);
+    }
+    EXPECT_EQ(obs::residentBytes(), before);
+}
+
+// Teardown with frames in flight on two sessions: the destructor
+// returns once queued and staged frames are through, discards the
+// uncollected outputs, and leaves nothing behind in the ledger.
+TEST_F(ServiceTest, DestructorWithFramesInFlight)
+{
+    const int frames = 8;
+    const std::vector<std::vector<image::ImageF>> clips = {
+        staticClip(frames, 64, 64, 25.0f, 229),
+        staticClip(frames, 48, 48, 25.0f, 233),
+    };
+    const int64_t before = obs::residentBytes();
+    ServiceConfig svc_cfg;
+    svc_cfg.shardThreads = 2;
+    auto svc = std::make_unique<DenoiseService>(svc_cfg);
+    std::vector<SessionId> ids;
+    for (size_t t = 0; t < clips.size(); ++t) {
+        SessionConfig tenant;
+        tenant.name = "inflight" + std::to_string(t);
+        tenant.stream = smallStreamConfig(2, /*wiener=*/t == 0);
+        tenant.stream.queueDepth = frames;
+        ids.push_back(svc->openSession(tenant));
+    }
+    for (int f = 0; f < frames; ++f)
+        for (size_t t = 0; t < clips.size(); ++t)
+            svc->submit(ids[t], image::ImageF(clips[t][f]));
+    // Some outputs uncollected; the rest are in stages, in the prepass
+    // or still queued.
+    while (svc->stats().frames == 0)
+        std::this_thread::yield();
+    const auto start = std::chrono::steady_clock::now();
+    svc.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(30));
+    EXPECT_EQ(obs::residentBytes(), before);
 }
 
 TEST_F(ServiceTest, LifecycleAndValidationErrors)
