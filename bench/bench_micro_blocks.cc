@@ -95,19 +95,6 @@ BM_Distance16(benchmark::State &state)
 BENCHMARK(BM_Distance16);
 
 void
-BM_DistanceBounded16(benchmark::State &state)
-{
-    auto a = randomData(16, 7);
-    auto b = randomData(16, 8);
-    for (auto _ : state) {
-        float d = transforms::squaredDistanceBounded(a.data(), b.data(),
-                                                     16, 100.0f);
-        benchmark::DoNotOptimize(d);
-    }
-}
-BENCHMARK(BM_DistanceBounded16);
-
-void
 BM_MatchListInsert(benchmark::State &state)
 {
     image::SplitMix64 rng(9);

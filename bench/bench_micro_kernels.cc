@@ -81,6 +81,7 @@ main(int argc, char **argv)
     for (float &v : pool)
         v = rng.uniform(-64.0f, 64.0f);
     std::vector<float> scratch(pool.size());
+    std::vector<float> restored(pool.size());
     std::vector<float> den(pool.size());
     std::vector<float> wbuf(16);
     float dctm[4] = {0.5f, 0.5f, 0.653281482f, 0.270598054f};
@@ -93,7 +94,7 @@ main(int argc, char **argv)
     rec.metrics["quick"] = quick ? 1.0 : 0.0;
 
     const auto t_total = std::chrono::steady_clock::now();
-    std::vector<int> widths = {10, 12, 12, 12};
+    std::vector<int> widths = {24, 12, 12};
     std::vector<std::string> header = {"kernel"};
     for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l)
         header.push_back(simd::toString(static_cast<simd::Level>(l)));
@@ -105,10 +106,10 @@ main(int argc, char **argv)
         std::vector<double> ms;
     };
     std::vector<Timing> rows = {
-        {"ssd", {}},        {"ssd_batch", {}},  {"ssd_soa_batch", {}},
+        {"ssd_soa_batch", {}},
         {"dct4_fwd", {}},   {"dct4_inv", {}},   {"haar_pair", {}},
         {"hard_thr", {}},   {"wiener", {}},     {"aggregate", {}},
-        {"merge_add", {}},  {"ssd_int16", {}},  {"ssd_soa_batch_int16", {}},
+        {"merge_add", {}},  {"ssd_soa_batch_int16", {}},
         {"ssd_pair_batch_int16", {}},           {"dct4_fwd_int16", {}},
         {"haar_shrink_fused", {}},              {"wiener_shrink_fused", {}},
         {"aggregate_group", {}},    {"haar_shrink_fused_int16", {}},
@@ -185,27 +186,6 @@ main(int argc, char **argv)
             ++row;
         };
 
-        // Bounded SSD of every patch against patch 0 (the block-match
-        // inner loop shape).
-        record([&] {
-            for (int it = 0; it < iters; ++it)
-                for (int i = 1; i < patches; ++i)
-                    g_sink += k.ssdBounded(pool.data(),
-                                           pool.data() + 16 * i, 16,
-                                           1e9f);
-        });
-
-        // Batched SSD, 8 candidates per call.
-        record([&] {
-            float out[8];
-            for (int it = 0; it < iters; ++it)
-                for (int i = 0; i + 8 <= patches; i += 8) {
-                    k.ssdBatch16(pool.data(), pool.data() + 16 * i, 8,
-                                 out);
-                    g_sink += out[0] + out[7];
-                }
-        });
-
         // Batched SoA SSD over window-row-sized runs of candidates
         // (the coefficient-major block-matching hot path: one dispatch
         // per run).
@@ -228,13 +208,14 @@ main(int argc, char **argv)
         });
         g_sink += scratch[0];
 
+        // Out of place: repeated in-place inverses drive the values subnormal.
         record([&] {
             for (int it = 0; it < iters; ++it)
                 for (int i = 0; i < patches; ++i)
                     k.dct4Inverse(scratch.data() + 16 * i,
-                                  scratch.data() + 16 * i, dctm, dctm);
+                                  restored.data() + 16 * i, dctm, dctm);
         });
-        g_sink += scratch[1];
+        g_sink += restored[1];
 
         // One Haar butterfly over adjacent 16-lane rows.
         record([&] {
@@ -291,17 +272,6 @@ main(int argc, char **argv)
                            pool.data(), patches * 16);
         });
         g_sink += den[1];
-
-        // Int16 bounded SSD in the same shape as the float row above:
-        // the head-to-head that motivates the quantized path
-        // (_mm256_madd_epi16 accumulates 16 lanes vs 8 float lanes).
-        record([&] {
-            for (int it = 0; it < iters; ++it)
-                for (int i = 1; i < patches; ++i)
-                    g_sink += static_cast<float>(k.ssdBoundedI16(
-                        pool_i16.data(), pool_i16.data() + 16 * i, 16,
-                        INT32_MAX));
-        });
 
         // Batched int16 SoA SSD, window-row-sized runs.
         record([&] {

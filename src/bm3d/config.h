@@ -37,8 +37,8 @@ enum class Stage {
  * int16 raws; DE2's Wiener shrinkage and all inverse transforms stay
  * float. Output is NOT bitwise equal to Float32 (tolerance-gated
  * instead) but is bitwise deterministic across SIMD levels and thread
- * counts within Int16. Requires patchSize == 4; temporal match
- * seeding is disabled under Int16.
+ * counts within Int16. Requires patchSize == 4 and fusedDenoise;
+ * temporal match seeding is disabled under Int16.
  */
 enum class Precision {
     Float32, ///< full float matching (the default)
@@ -225,26 +225,18 @@ struct Bm3dConfig
     /// CPU implementation of Fig. 2 disables this.
     bool boundedDistance = true;
 
-    /// Software optimization mirroring the paper's "compute the DCT of
-    /// all possible patches once" insight (Fig. 1b, DCT1): cache
-    /// forward DCTs of every patch position a tile's stacks can reach
-    /// (noisy + basic planes, all channels) and gather stacks from the
-    /// cache instead of re-transforming per stack membership. Output
-    /// is bitwise identical either way — the cache holds the very same
-    /// dct.forward results; disabling is a memory/compute trade-off
-    /// knob for ablations.
-    bool transformOnce = true;
-
     /// Group-major fused denoise datapath (DESIGN §12): run the whole
     /// per-stack spectrum pipeline — Haar across patches, shrinkage,
     /// inverse Haar, inverse DCT, weighted aggregation — as fused
     /// kernel calls over a contiguous [stack][patch] group tile
-    /// instead of discrete per-row kernel dispatches. Output is
-    /// bitwise identical either way (the fused kernels replay the
-    /// exact per-element operation sequence of the discrete path);
-    /// disabling is a perf-ablation knob. The fused path requires
-    /// patchSize == 4, no fixedPoint formats and sharpenAlpha == 1,
-    /// and silently falls back to the discrete path otherwise.
+    /// instead of discrete per-row kernel dispatches. Under Float32,
+    /// output is bitwise identical either way (the fused kernels
+    /// replay the exact per-element operation sequence of the
+    /// discrete path) and disabling is a perf-ablation knob. Only the
+    /// fused path has an int16 DE1, so validate() rejects Int16 with
+    /// this off. The fused path requires patchSize == 4, no fixedPoint
+    /// formats and sharpenAlpha == 1, and silently falls back to the
+    /// discrete path otherwise.
     bool fusedDenoise = true;
 
     MrConfig mr;
@@ -334,6 +326,10 @@ struct Bm3dConfig
         if (precision == Precision::Int16 && patchSize != 4)
             throw std::invalid_argument(
                 "int16 precision requires patchSize == 4");
+        if (precision == Precision::Int16 && !fusedDenoise)
+            throw std::invalid_argument(
+                "int16 precision requires fusedDenoise (the discrete "
+                "denoise path has no int16 DE1)");
     }
 
     /** Search window size of @p stage. */

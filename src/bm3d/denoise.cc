@@ -283,8 +283,6 @@ void
 DenoiseEngine::prepareTile(int x0, int y0, int x1, int y1)
 {
     tilesValid_ = false;
-    if (!config_.transformOnce)
-        return;
     const int chans = noisy_.channels();
     const bool wiener = stage_ == Stage::Wiener;
     // Stage 1 keeps channel 0 on the global Path-C field; only the

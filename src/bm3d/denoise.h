@@ -186,10 +186,8 @@ class DenoiseEngine
      * gatherStack then copies cached coefficients instead of running
      * a forward DCT per stack membership. Positions outside the built
      * range fall back to on-the-fly transforms, so correctness never
-     * depends on the halo; output is bitwise identical with the
-     * caches disabled (config.transformOnce = false), which clears
-     * them. The caches are worker-local arenas: call once per tile,
-     * steady-state rebuilds allocate nothing.
+     * depends on the halo. The caches are worker-local arenas: call
+     * once per tile, steady-state rebuilds allocate nothing.
      */
     void prepareTile(int x0, int y0, int x1, int y1);
 
@@ -219,14 +217,16 @@ class DenoiseEngine
      * tile. Float output is bitwise identical to the discrete path;
      * under Precision::Int16, DE1's Haar+shrink runs on quantized
      * Q11.1 raws instead (tolerance-gated, still bitwise deterministic
-     * across SIMD levels and thread counts).
+     * across SIMD levels and thread counts). The discrete path has no
+     * int16 DE1, so Bm3dConfig::validate() rejects Int16 without
+     * fusedDenoise.
      */
     void processStackFused(const MatchList &matches, Aggregator &agg);
 
     /** Op accounting shared by the fused and discrete paths — the
         charges are formula-based and identical by construction, which
         is what keeps bench_diff --ops-tolerance 0 meaningful across
-        the fusedDenoise knob. */
+        the Float32 fusedDenoise knob. */
     void chargeStackOps(Step de_step, uint64_t forward_dcts,
                         int stack_size);
 

@@ -22,8 +22,6 @@ tableFor(Level level)
     switch (level) {
     case Level::Avx2:
         return detail::kAvx2Table;
-    case Level::Sse:
-        return detail::kSseTable;
     case Level::Scalar:
     default:
         return detail::kScalarTable;
@@ -36,8 +34,6 @@ probeBest()
 #if defined(__x86_64__) || defined(__i386__)
     if (__builtin_cpu_supports("avx2"))
         return Level::Avx2;
-    if (__builtin_cpu_supports("sse4.2"))
-        return Level::Sse;
 #endif
     return Level::Scalar;
 }
@@ -57,14 +53,12 @@ resolveLevel(Level best)
     Level requested = best;
     if (std::strcmp(env, "scalar") == 0) {
         requested = Level::Scalar;
-    } else if (std::strcmp(env, "sse") == 0) {
-        requested = Level::Sse;
     } else if (std::strcmp(env, "avx2") == 0) {
         requested = Level::Avx2;
     } else {
         std::fprintf(stderr,
                      "ideal: unknown IDEAL_SIMD=\"%s\" "
-                     "(expected scalar|sse|avx2), using %s\n",
+                     "(expected scalar|avx2), using %s\n",
                      env, toString(best));
         return requested;
     }
@@ -100,8 +94,6 @@ toString(Level level)
     switch (level) {
     case Level::Avx2:
         return "avx2";
-    case Level::Sse:
-        return "sse";
     case Level::Scalar:
     default:
         return "scalar";

@@ -5,12 +5,12 @@
  * @file
  * Internal: the per-level kernel tables, one per translation unit so
  * each can be compiled for its own ISA. The scalar table defines the
- * reference semantics (see simd.h's reduction-order rule); the SSE
- * and AVX2 tables must reproduce it bitwise and are verified to do so
- * by tests/test_simd.cc.
+ * reference semantics (see simd.h's reduction-order rule); the AVX2
+ * table must reproduce it bitwise and is verified to do so by
+ * tests/test_simd.cc.
  *
- * On non-x86 builds the SSE/AVX2 translation units compile to empty
- * and the table pointers below alias the scalar table.
+ * On non-x86 builds the AVX2 translation unit compiles to an alias of
+ * the scalar table.
  */
 
 #include "simd/simd.h"
@@ -20,7 +20,6 @@ namespace simd {
 namespace detail {
 
 extern const KernelTable kScalarTable;
-extern const KernelTable &kSseTable;
 extern const KernelTable &kAvx2Table;
 
 } // namespace detail

@@ -36,18 +36,6 @@ fold8(__m256 acc)
     return _mm_cvtss_f32(r);
 }
 
-inline float
-ssdBlock16(const float *a, const float *b)
-{
-    const __m256 d0 =
-        _mm256_sub_ps(_mm256_loadu_ps(a), _mm256_loadu_ps(b));
-    const __m256 d1 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + 8), _mm256_loadu_ps(b + 8));
-    const __m256 acc =
-        _mm256_add_ps(_mm256_mul_ps(d0, d0), _mm256_mul_ps(d1, d1));
-    return fold8(acc);
-}
-
 float
 ssd(const float *a, const float *b, int len)
 {
@@ -64,54 +52,6 @@ ssd(const float *a, const float *b, int len)
         r += d * d;
     }
     return r;
-}
-
-float
-ssdFull(const float *a, const float *b, int len)
-{
-    float acc = 0.0f;
-    int i = 0;
-    for (; i + 16 <= len; i += 16)
-        acc += ssdBlock16(a + i, b + i);
-    for (; i < len; ++i) {
-        const float d = a[i] - b[i];
-        acc += d * d;
-    }
-    return acc;
-}
-
-float
-ssdBounded(const float *a, const float *b, int len, float bound)
-{
-    float acc = 0.0f;
-    int i = 0;
-    for (; i + 16 <= len; i += 16) {
-        acc += ssdBlock16(a + i, b + i);
-        if (acc > bound)
-            return acc;
-    }
-    for (; i < len; ++i) {
-        const float d = a[i] - b[i];
-        acc += d * d;
-        if (acc > bound)
-            return acc;
-    }
-    return acc;
-}
-
-void
-ssdBatch16(const float *ref, const float *cands, int count, float *out)
-{
-    const __m256 r0 = _mm256_loadu_ps(ref);
-    const __m256 r1 = _mm256_loadu_ps(ref + 8);
-    for (int i = 0; i < count; ++i) {
-        const float *c = cands + 16 * i;
-        const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(c), r0);
-        const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(c + 8), r1);
-        const __m256 acc =
-            _mm256_add_ps(_mm256_mul_ps(d0, d0), _mm256_mul_ps(d1, d1));
-        out[i] = fold8(acc);
-    }
 }
 
 /**
@@ -507,61 +447,6 @@ mulhrsI16(int16_t a, int16_t b)
         (static_cast<int32_t>(a) * b + 0x4000) >> 15);
 }
 
-/** Wrapping horizontal sum of the 8 int32 lanes. */
-inline uint32_t
-hsumEpi32(__m256i v)
-{
-    __m128i t = _mm_add_epi32(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    t = _mm_add_epi32(t, _mm_srli_si128(t, 8));
-    t = _mm_add_epi32(t, _mm_srli_si128(t, 4));
-    return static_cast<uint32_t>(_mm_cvtsi128_si32(t));
-}
-
-int32_t
-ssdI16(const int16_t *a, const int16_t *b, int len)
-{
-    __m256i acc = _mm256_setzero_si256();
-    int i = 0;
-    for (; i + 16 <= len; i += 16) {
-        const __m256i d = _mm256_sub_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + i)));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
-    }
-    uint32_t r = hsumEpi32(acc);
-    for (; i < len; ++i)
-        r += sqI16(diffI16(a[i], b[i]));
-    return static_cast<int32_t>(r);
-}
-
-inline uint32_t
-ssdBlock16I16(const int16_t *a, const int16_t *b)
-{
-    const __m256i d = _mm256_sub_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b)));
-    return hsumEpi32(_mm256_madd_epi16(d, d));
-}
-
-int32_t
-ssdBoundedI16(const int16_t *a, const int16_t *b, int len, int32_t bound)
-{
-    uint32_t acc = 0;
-    int i = 0;
-    for (; i + 16 <= len; i += 16) {
-        acc += ssdBlock16I16(a + i, b + i);
-        if (static_cast<int32_t>(acc) > bound)
-            return static_cast<int32_t>(acc);
-    }
-    for (; i < len; ++i) {
-        acc += sqI16(diffI16(a[i], b[i]));
-        if (static_cast<int32_t>(acc) > bound)
-            return static_cast<int32_t>(acc);
-    }
-    return static_cast<int32_t>(acc);
-}
-
 /** Strided gathers — scalar at every level (like the float ssdSoa). */
 int32_t
 ssdSoaI16(const int16_t *const *pa, size_t off_a, const int16_t *const *pb,
@@ -792,60 +677,6 @@ dct4ForwardI16(const int16_t *in, int16_t *out, const int16_t *even_q,
     dct4PassI16(in, t1, even_q, odd_q, shift1);
     transpose4I16(t1, t2);
     dct4PassI16(t2, out, even_q, odd_q, shift2);
-}
-
-void
-haarForwardPairI16(const int16_t *even, const int16_t *odd,
-                   int16_t *approx, int16_t *detail, int16_t factor_q15,
-                   int width)
-{
-    const __m256i f = _mm256_set1_epi16(factor_q15);
-    int c = 0;
-    for (; c + 16 <= width; c += 16) {
-        const __m256i e = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(even + c));
-        const __m256i o = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(odd + c));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(approx + c),
-            _mm256_mulhrs_epi16(_mm256_adds_epi16(e, o), f));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(detail + c),
-            _mm256_mulhrs_epi16(_mm256_subs_epi16(e, o), f));
-    }
-    for (; c < width; ++c) {
-        const int16_t e = even[c];
-        const int16_t o = odd[c];
-        approx[c] = mulhrsI16(satAddI16(e, o), factor_q15);
-        detail[c] = mulhrsI16(satSubI16(e, o), factor_q15);
-    }
-}
-
-void
-haarInversePairI16(const int16_t *approx, const int16_t *detail,
-                   int16_t *out_even, int16_t *out_odd, int16_t factor_q15,
-                   int width)
-{
-    const __m256i f = _mm256_set1_epi16(factor_q15);
-    int c = 0;
-    for (; c + 16 <= width; c += 16) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(approx + c));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(detail + c));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out_even + c),
-            _mm256_mulhrs_epi16(_mm256_adds_epi16(a, d), f));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out_odd + c),
-            _mm256_mulhrs_epi16(_mm256_subs_epi16(a, d), f));
-    }
-    for (; c < width; ++c) {
-        const int16_t a = approx[c];
-        const int16_t d = detail[c];
-        out_even[c] = mulhrsI16(satAddI16(a, d), factor_q15);
-        out_odd[c] = mulhrsI16(satSubI16(a, d), factor_q15);
-    }
 }
 
 int
@@ -1253,13 +1084,10 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
 }
 
 const KernelTable kAvx2TableStorage = {
-    ssd,           ssdBounded,      ssdFull,       ssdBatch16,
-    ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
-    haarForwardPair, haarInversePair, hardThreshold, wienerApply,
-    aggregateAdd,  mergeAdd,
-    ssdI16,        ssdBoundedI16,   ssdSoaI16,     ssdSoaBatchI16,
-    ssdPairBatchI16,
-    dct4ForwardI16, haarForwardPairI16, haarInversePairI16,
+    ssd,           ssdSoa,          ssdSoaBatch,   dct4Forward,
+    dct4Inverse,   haarForwardPair, haarInversePair, hardThreshold,
+    wienerApply,   aggregateAdd,    mergeAdd,
+    ssdSoaI16,     ssdSoaBatchI16,  ssdPairBatchI16, dct4ForwardI16,
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,

@@ -35,22 +35,6 @@ fold8(const float s[8])
     return u0 + u1;
 }
 
-/** One 16-element block: lanes j += d_j^2 then d_{8+j}^2, fold. */
-inline float
-ssdBlock16(const float *a, const float *b)
-{
-    float s[8];
-    for (int j = 0; j < 8; ++j) {
-        const float d = a[j] - b[j];
-        s[j] = d * d;
-    }
-    for (int j = 0; j < 8; ++j) {
-        const float d = a[8 + j] - b[8 + j];
-        s[j] += d * d;
-    }
-    return fold8(s);
-}
-
 float
 ssd(const float *a, const float *b, int len)
 {
@@ -68,46 +52,6 @@ ssd(const float *a, const float *b, int len)
         r += d * d;
     }
     return r;
-}
-
-float
-ssdFull(const float *a, const float *b, int len)
-{
-    float acc = 0.0f;
-    int i = 0;
-    for (; i + 16 <= len; i += 16)
-        acc += ssdBlock16(a + i, b + i);
-    for (; i < len; ++i) {
-        const float d = a[i] - b[i];
-        acc += d * d;
-    }
-    return acc;
-}
-
-float
-ssdBounded(const float *a, const float *b, int len, float bound)
-{
-    float acc = 0.0f;
-    int i = 0;
-    for (; i + 16 <= len; i += 16) {
-        acc += ssdBlock16(a + i, b + i);
-        if (acc > bound)
-            return acc;
-    }
-    for (; i < len; ++i) {
-        const float d = a[i] - b[i];
-        acc += d * d;
-        if (acc > bound)
-            return acc;
-    }
-    return acc;
-}
-
-void
-ssdBatch16(const float *ref, const float *cands, int count, float *out)
-{
-    for (int i = 0; i < count; ++i)
-        out[i] = ssdBlock16(ref, cands + 16 * i);
 }
 
 float
@@ -386,43 +330,6 @@ packSat32(int32_t v)
 }
 
 int32_t
-ssdI16(const int16_t *a, const int16_t *b, int len)
-{
-    uint32_t acc = 0;
-    for (int i = 0; i < len; ++i)
-        acc += sqI16(diffI16(a[i], b[i]));
-    return static_cast<int32_t>(acc);
-}
-
-/** One 16-element block of the bounded int16 SSD. */
-inline uint32_t
-ssdBlock16I16(const int16_t *a, const int16_t *b)
-{
-    uint32_t acc = 0;
-    for (int j = 0; j < 16; ++j)
-        acc += sqI16(diffI16(a[j], b[j]));
-    return acc;
-}
-
-int32_t
-ssdBoundedI16(const int16_t *a, const int16_t *b, int len, int32_t bound)
-{
-    uint32_t acc = 0;
-    int i = 0;
-    for (; i + 16 <= len; i += 16) {
-        acc += ssdBlock16I16(a + i, b + i);
-        if (static_cast<int32_t>(acc) > bound)
-            return static_cast<int32_t>(acc);
-    }
-    for (; i < len; ++i) {
-        acc += sqI16(diffI16(a[i], b[i]));
-        if (static_cast<int32_t>(acc) > bound)
-            return static_cast<int32_t>(acc);
-    }
-    return static_cast<int32_t>(acc);
-}
-
-int32_t
 ssdSoaI16(const int16_t *const *pa, size_t off_a, const int16_t *const *pb,
           size_t off_b, int len, int32_t bound)
 {
@@ -511,32 +418,6 @@ dct4ForwardI16(const int16_t *in, int16_t *out, const int16_t *even_q,
     dct4PassI16(in, t1, even_q, odd_q, shift1);
     transpose4I16(t1, t2);
     dct4PassI16(t2, out, even_q, odd_q, shift2);
-}
-
-void
-haarForwardPairI16(const int16_t *even, const int16_t *odd,
-                   int16_t *approx, int16_t *detail, int16_t factor_q15,
-                   int width)
-{
-    for (int c = 0; c < width; ++c) {
-        const int16_t e = even[c];
-        const int16_t o = odd[c];
-        approx[c] = mulhrsI16(satAddI16(e, o), factor_q15);
-        detail[c] = mulhrsI16(satSubI16(e, o), factor_q15);
-    }
-}
-
-void
-haarInversePairI16(const int16_t *approx, const int16_t *detail,
-                   int16_t *out_even, int16_t *out_odd, int16_t factor_q15,
-                   int width)
-{
-    for (int c = 0; c < width; ++c) {
-        const int16_t a = approx[c];
-        const int16_t d = detail[c];
-        out_even[c] = mulhrsI16(satAddI16(a, d), factor_q15);
-        out_odd[c] = mulhrsI16(satSubI16(a, d), factor_q15);
-    }
 }
 
 int
@@ -792,13 +673,10 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
 } // namespace
 
 const KernelTable kScalarTable = {
-    ssd,           ssdBounded,      ssdFull,       ssdBatch16,
-    ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
-    haarForwardPair, haarInversePair, hardThreshold, wienerApply,
-    aggregateAdd,  mergeAdd,
-    ssdI16,        ssdBoundedI16,   ssdSoaI16,     ssdSoaBatchI16,
-    ssdPairBatchI16,
-    dct4ForwardI16, haarForwardPairI16, haarInversePairI16,
+    ssd,           ssdSoa,          ssdSoaBatch,   dct4Forward,
+    dct4Inverse,   haarForwardPair, haarInversePair, hardThreshold,
+    wienerApply,   aggregateAdd,    mergeAdd,
+    ssdSoaI16,     ssdSoaBatchI16,  ssdPairBatchI16, dct4ForwardI16,
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,

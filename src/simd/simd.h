@@ -6,17 +6,17 @@
  * Runtime-dispatched SIMD kernel layer for the BM3D hot path.
  *
  * One implementation of every hot kernel exists per instruction-set
- * level (scalar / SSE4.2 / AVX2); the best level the CPU supports is
- * selected once at startup via CPUID and can be overridden with
- * IDEAL_SIMD=scalar|sse|avx2 (requests above what the CPU supports
- * clamp down with a warning). Library code calls through the active
- * KernelTable, so a single baseline-ISA build adapts to the machine
- * it lands on.
+ * level (scalar / AVX2); the best level the CPU supports is selected
+ * once at startup via CPUID and can be overridden with
+ * IDEAL_SIMD=scalar|avx2 (an unknown value, or a request above what
+ * the CPU supports, keeps the best level with a warning). Library
+ * code calls through the active KernelTable, so a single baseline-ISA
+ * build adapts to the machine it lands on.
  *
  * ## The reduction-order rule
  *
  * Every kernel is bitwise-deterministic across dispatch levels: for
- * the same inputs, the scalar, SSE and AVX2 variants return identical
+ * the same inputs, the scalar and AVX2 variants return identical
  * bits. Two mechanisms make that possible:
  *
  * 1. *Vertical* operations (the DCT passes, Haar butterflies,
@@ -30,9 +30,9 @@
  *    adder tree: 8 accumulator lanes, element k accumulating into
  *    lane k%8 in element order, folded as
  *        ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)).
- *    The scalar variant keeps 8 scalar accumulators, SSE emulates the
- *    8 lanes with two __m128, and AVX2 holds them in one __m256 whose
- *    standard extract/add/movehl fold produces exactly that tree.
+ *    The scalar variant keeps 8 scalar accumulators and AVX2 holds
+ *    them in one __m256 whose standard extract/add/movehl fold
+ *    produces exactly that tree.
  *    Trailing elements (len % 8) are always added sequentially after
  *    the fold, in every variant.
  *
@@ -62,11 +62,10 @@ namespace simd {
 /** Instruction-set level of a kernel table, in increasing order. */
 enum class Level {
     Scalar = 0, ///< portable C++, no intrinsics
-    Sse = 1,    ///< SSE4.2 (128-bit)
-    Avx2 = 2,   ///< AVX2 (256-bit)
+    Avx2 = 1,   ///< AVX2 (256-bit)
 };
 
-/** Lower-case level name ("scalar", "sse", "avx2"). */
+/** Lower-case level name ("scalar", "avx2"). */
 const char *toString(Level level);
 
 /**
@@ -84,39 +83,15 @@ struct KernelTable
     float (*ssd)(const float *a, const float *b, int len);
 
     /**
-     * Squared L2 distance accumulated per 16-element block (one
-     * 8-lane tree fold per block, blocks summed sequentially),
-     * early-returning a partial sum once it exceeds @p bound. Partial
-     * results are only guaranteed to compare > @p bound.
-     */
-    float (*ssdBounded)(const float *a, const float *b, int len,
-                        float bound);
-
-    /**
-     * Same block-wise accumulation order as ssdBounded but with no
-     * early exit: the exact full distance. For len == 16 this equals
-     * both ssd and ssdBounded(bound=inf) bitwise.
-     */
-    float (*ssdFull)(const float *a, const float *b, int len);
-
-    /**
-     * Batched 16-element SSD: out[i] = ssdFull(ref, cands + 16*i, 16)
-     * for i in [0, count). @p cands is a contiguous array of @p count
-     * 16-float patch descriptors (the patch-field layout). count <= 8.
-     */
-    void (*ssdBatch16)(const float *ref, const float *cands, int count,
-                       float *out);
-
-    /**
      * Squared L2 distance between two patches stored coefficient-major
      * (SoA): coefficient k of patch a is pa[k][off_a], of patch b
      * pb[k][off_b]. Accumulated per 16-coefficient block in the
      * canonical 8-lane tree (lane k%8, fold, blocks summed
-     * sequentially, sequential tail) — the exact ssdBounded order —
-     * with early exit once the partial sum exceeds @p bound (pass
-     * +inf for the exact ssdFull-ordered distance). The two pointer
-     * arrays may differ, so cross-field distances (video matching)
-     * use the same kernel.
+     * sequentially, sequential tail), with early exit once the
+     * partial sum exceeds @p bound (pass +inf for the exact
+     * distance); partial results are only guaranteed to compare
+     * > @p bound. The two pointer arrays may differ, so cross-field
+     * distances (video matching) use the same kernel.
      */
     float (*ssdSoa)(const float *const *pa, size_t off_a,
                     const float *const *pb, size_t off_b, int len,
@@ -203,38 +178,24 @@ struct KernelTable
                      const float *oden, int count);
 
     /**
-     * Int16 squared L2 distance: differences wrap in int16, squares
-     * accumulate mod 2^32. Exact whenever |a[i]-b[i]| raws fit the
-     * fixed::ssdSafeMagnitudeBits bound; otherwise deterministically
-     * wrapped, identically at every dispatch level.
-     */
-    int32_t (*ssdI16)(const int16_t *a, const int16_t *b, int len);
-
-    /**
-     * ssdI16 accumulated per 16-element block with early exit once the
-     * partial sum exceeds @p bound (same exit points as the scalar
-     * reference, so partial results are bitwise identical too).
-     * Partial results are only guaranteed to compare > @p bound.
-     */
-    int32_t (*ssdBoundedI16)(const int16_t *a, const int16_t *b, int len,
-                             int32_t bound);
-
-    /**
      * SoA int16 SSD (coefficient-major planes, same layout contract
-     * as ssdSoa) with per-16-block early exit. Strided gathers keep
-     * this scalar at every level; the batch kernel below carries the
-     * vector win.
+     * as ssdSoa) with per-16-block early exit: differences wrap in
+     * int16, squares accumulate mod 2^32. Exact whenever the
+     * |pa - pb| raws fit the fixed::ssdSafeMagnitudeBits bound;
+     * otherwise deterministically wrapped, identically at every
+     * dispatch level. Strided gathers keep this scalar at every
+     * level; the batch kernels below carry the vector win.
      */
     int32_t (*ssdSoaI16)(const int16_t *const *pa, size_t off_a,
                          const int16_t *const *pb, size_t off_b, int len,
                          int32_t bound);
 
     /**
-     * Batched SoA int16 SSD: out[i] = ssdI16 of @p ref against the
-     * candidate at planes[k][off + i], for i in [0, count); arbitrary
-     * @p count. _mm256_madd_epi16 processes 16 candidates per
-     * accumulate — the kernel that doubles matching throughput over
-     * the float path.
+     * Batched SoA int16 SSD: out[i] = the exact (bound-free) ssdSoaI16
+     * distance of @p ref against the candidate at planes[k][off + i],
+     * for i in [0, count); arbitrary @p count. _mm256_madd_epi16
+     * processes 16 candidates per accumulate — the kernel that
+     * doubles matching throughput over the float path.
      */
     void (*ssdSoaBatchI16)(const int16_t *ref,
                            const int16_t *const *planes, size_t off,
@@ -250,7 +211,7 @@ struct KernelTable
      * the gathered descriptor in natural coefficient order (pairs
      * adjacent), @p len the coefficient count (must be even), out[i]
      * the SSD of candidate off + i. Same wrap/exactness contract as
-     * ssdI16.
+     * ssdSoaI16.
      */
     void (*ssdPairBatchI16)(const int16_t *ref,
                             const int16_t *const *pair_planes, size_t off,
@@ -267,22 +228,6 @@ struct KernelTable
     void (*dct4ForwardI16)(const int16_t *in, int16_t *out,
                            const int16_t *even_q, const int16_t *odd_q,
                            int shift1, int shift2);
-
-    /**
-     * Int16 Haar butterfly: saturating add/sub (adds/subs_epi16
-     * semantics) followed by a Q15 rounded multiply by
-     * @p factor_q15 (_mm_mulhrs_epi16 semantics, including the
-     * -32768 * -32768 wrap). approx may alias even.
-     */
-    void (*haarForwardPairI16)(const int16_t *even, const int16_t *odd,
-                               int16_t *approx, int16_t *detail,
-                               int16_t factor_q15, int width);
-
-    /** Inverse int16 Haar butterfly; outputs must not alias inputs. */
-    void (*haarInversePairI16)(const int16_t *approx,
-                               const int16_t *detail, int16_t *out_even,
-                               int16_t *out_odd, int16_t factor_q15,
-                               int width);
 
     /**
      * Int16 hard threshold in place: v[i] with abs_epi16(v[i]) <
@@ -346,9 +291,10 @@ struct KernelTable
 
     /**
      * Int16 fused DE1 spectrum pipeline, same tile contract as
-     * haarShrinkFused on Q11.1 raws: saturating-add/mulhrs Haar
-     * butterflies (haarForwardPairI16 / haarInversePairI16 element
-     * semantics with @p factor_q15), hardThresholdI16 shrinkage.
+     * haarShrinkFused on Q11.1 raws: Haar butterflies of saturating
+     * add/sub (adds/subs_epi16 semantics) followed by a Q15 rounded
+     * multiply by @p factor_q15 (_mm_mulhrs_epi16 semantics, including
+     * the -32768 * -32768 wrap), hardThresholdI16 shrinkage.
      * Integer lane arithmetic, so bitwise identical across levels by
      * construction. Returns the surviving-coefficient count.
      */

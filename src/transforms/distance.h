@@ -11,10 +11,12 @@
  *
  * The software kernels mirror that adder tree through the runtime-
  * dispatched SIMD layer (src/simd): 8 accumulator lanes folded in one
- * canonical order, identical bitwise at every dispatch level (see
- * simd.h's reduction-order rule). These wrappers exist so callers
- * keep a plain-function API and so the dispatch indirection is paid
- * once per call, not once per 16 elements.
+ * canonical order, identical bitwise at the scalar and AVX2 levels
+ * (see simd.h's reduction-order rule). These wrappers exist so
+ * callers keep a plain-function API and so the dispatch indirection
+ * is paid once per call, not once per 16 elements. The SoA forms
+ * accumulate per 16-coefficient block — one hardware adder tree's
+ * worth — so the bounded form checks its bound once per block.
  */
 
 #include <cstddef>
@@ -36,54 +38,11 @@ squaredDistance(const float *a, const float *b, int len)
 }
 
 /**
- * Squared L2 distance with early termination: returns a partial sum
- * (> @p bound) once the accumulated distance exceeds @p bound. The
- * check runs every 16 elements — one hardware adder-tree's worth — so
- * the common small-patch case (4x4 = 16 coefficients) is a single
- * branchless vectorizable block, not 16 data-dependent branches.
- *
- * Callers may only rely on the exact value when it is <= @p bound;
- * any early-terminated result compares > @p bound just like the full
- * sum would (partial sums of squares only grow), so match selection
- * is identical to evaluating the full distance.
- */
-inline float
-squaredDistanceBounded(const float *a, const float *b, int len, float bound)
-{
-    return simd::kernels().ssdBounded(a, b, len, bound);
-}
-
-/**
- * Exact squared L2 distance in the same per-16-block accumulation
- * order as squaredDistanceBounded (no early exit). For len == 16 all
- * three kernels agree bitwise, which is what lets the batched
- * block-matching path and the bounded path select identical matches.
- */
-inline float
-squaredDistanceFull(const float *a, const float *b, int len)
-{
-    return simd::kernels().ssdFull(a, b, len);
-}
-
-/**
- * Batched 16-element SSD against one reference descriptor:
- * out[i] = squaredDistanceFull(ref, cands + 16*i, 16) for
- * i in [0, count), count <= 8. @p cands must be contiguous
- * 16-float descriptors (the patch-field layout).
- */
-inline void
-squaredDistanceBatch16(const float *ref, const float *cands, int count,
-                       float *out)
-{
-    simd::kernels().ssdBatch16(ref, cands, count, out);
-}
-
-/**
  * Exact squared L2 distance between two coefficient-major (SoA)
  * patches: coefficient k of patch a is pa[k][off_a], of b
- * pb[k][off_b]. Accumulated in the squaredDistanceFull per-16-block
- * order. The two plane sets may belong to different fields (video
- * matching across frames).
+ * pb[k][off_b], accumulated per 16-coefficient block. The two plane
+ * sets may belong to different fields (video matching across
+ * frames).
  */
 inline float
 squaredDistanceSoa(const float *const *pa, size_t off_a,
@@ -94,8 +53,12 @@ squaredDistanceSoa(const float *const *pa, size_t off_a,
 }
 
 /**
- * SoA distance with early termination past @p bound; same contract as
- * squaredDistanceBounded (partial results only compare > bound).
+ * SoA distance with early termination: returns a partial sum
+ * (> @p bound) once the accumulated distance exceeds @p bound.
+ * Callers may only rely on the exact value when it is <= @p bound;
+ * any early-terminated result compares > @p bound just like the full
+ * sum would (partial sums of squares only grow), so match selection
+ * is identical to evaluating the full distance.
  */
 inline float
 squaredDistanceSoaBounded(const float *const *pa, size_t off_a,

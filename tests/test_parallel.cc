@@ -397,7 +397,7 @@ checkDeterministicAcrossThreadCounts(bm3d::Bm3dConfig cfg,
 
     // The determinism contract is two-dimensional since the SIMD layer
     // landed: output must be bitwise identical across thread counts AND
-    // across dispatch levels (scalar / SSE / AVX2 keep the exact scalar
+    // across dispatch levels (scalar / AVX2 keep the exact scalar
     // reduction order). Sweep every level the CPU supports at every
     // thread count against the one reference run.
     ScopedSimdLevel restore;

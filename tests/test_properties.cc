@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 1, 13), std::make_tuple(8, 4, 17)));
 
 // ---------------------------------------------------------------------
-// Precision matrix: {float32, int16} x {scalar, sse, avx2} x {1, 8}
+// Precision matrix: {float32, int16} x {scalar, avx2} x {1, 8}
 // threads. Every combination must still denoise (PSNR improves); the
 // int16 combinations must additionally produce ONE bit pattern across
 // the whole matrix — integer matching has no reassociation
@@ -119,8 +119,7 @@ TEST_F(PrecisionMatrix, DenoisesAndInt16IsBitwiseInvariant)
     auto noisy = image::addGaussianNoise(clean, 25.0f, 321);
     const double noisy_psnr = image::psnrDb(clean, noisy);
 
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Sse,
-                                  simd::Level::Avx2};
+    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Avx2};
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         std::vector<float> int16_ref;

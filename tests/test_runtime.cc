@@ -105,8 +105,7 @@ class RuntimeTest : public ::testing::Test
 TEST_F(RuntimeTest, StreamMatchesBatchBitwiseAcrossLevelsAndThreads)
 {
     const auto clip = staticClip(3, 64, 48, 25.0f, 41);
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Sse,
-                                  simd::Level::Avx2};
+    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Avx2};
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         // Int16 matching is bitwise deterministic across *levels* too

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -130,10 +131,22 @@ class SimdParity : public ::testing::Test
 // Dispatch mechanics.
 // ---------------------------------------------------------------------
 
+// Declared first so it runs before any test calls setLevel: the level
+// it sees is the one resolved from IDEAL_SIMD on first use. ctest runs
+// it unset, with IDEAL_SIMD=scalar and with IDEAL_SIMD=sse; "sse" names
+// no level of this build, so it must warn and keep the best level.
+TEST(SimdDispatch, EnvOverrideResolvesOnFirstUse)
+{
+    const char *env = std::getenv("IDEAL_SIMD");
+    const bool scalar = env != nullptr && std::strcmp(env, "scalar") == 0;
+    EXPECT_EQ(simd::activeLevel(),
+              scalar ? simd::Level::Scalar : simd::bestSupported())
+        << "IDEAL_SIMD=" << (env != nullptr ? env : "(unset)");
+}
+
 TEST_F(SimdParity, LevelNamesAreStable)
 {
     EXPECT_STREQ(simd::toString(simd::Level::Scalar), "scalar");
-    EXPECT_STREQ(simd::toString(simd::Level::Sse), "sse");
     EXPECT_STREQ(simd::toString(simd::Level::Avx2), "avx2");
 }
 
@@ -161,9 +174,6 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
     for (simd::Level level : availableLevels()) {
         const simd::KernelTable &k = simd::kernelsFor(level);
         EXPECT_NE(k.ssd, nullptr);
-        EXPECT_NE(k.ssdBounded, nullptr);
-        EXPECT_NE(k.ssdFull, nullptr);
-        EXPECT_NE(k.ssdBatch16, nullptr);
         EXPECT_NE(k.dct4Forward, nullptr);
         EXPECT_NE(k.dct4Inverse, nullptr);
         EXPECT_NE(k.haarForwardPair, nullptr);
@@ -174,14 +184,10 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
         EXPECT_NE(k.ssdSoa, nullptr);
         EXPECT_NE(k.ssdSoaBatch, nullptr);
         EXPECT_NE(k.mergeAdd, nullptr);
-        EXPECT_NE(k.ssdI16, nullptr);
-        EXPECT_NE(k.ssdBoundedI16, nullptr);
         EXPECT_NE(k.ssdSoaI16, nullptr);
         EXPECT_NE(k.ssdSoaBatchI16, nullptr);
         EXPECT_NE(k.ssdPairBatchI16, nullptr);
         EXPECT_NE(k.dct4ForwardI16, nullptr);
-        EXPECT_NE(k.haarForwardPairI16, nullptr);
-        EXPECT_NE(k.haarInversePairI16, nullptr);
         EXPECT_NE(k.hardThresholdI16, nullptr);
     }
 }
@@ -207,87 +213,6 @@ TEST_F(SimdParity, SsdMatchesScalarBitwise)
                              << "level=" << simd::toString(level)
                              << " len=" << len);
                 expectBitEqual(expected, got, "ssd", 0);
-            }
-        }
-    }
-}
-
-TEST_F(SimdParity, SsdBoundedMatchesScalarBitwiseIncludingEarlyExit)
-{
-    Rng rng(202);
-    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    for (int len : {8, 16, 32, 48, 100}) {
-        for (const auto &a : inputFamilies(rng, len)) {
-            std::vector<float> b(len);
-            for (float &v : b)
-                v = rng.uniform(-255.0f, 255.0f);
-            const float full = ref.ssdFull(a.data(), b.data(), len);
-            // Bounds that never trigger, always trigger, and trigger
-            // mid-way exercise each early-exit position.
-            for (float bound : {std::numeric_limits<float>::infinity(),
-                                full * 2.0f, full, full * 0.5f,
-                                full * 0.1f, 0.0f}) {
-                const float expected = ref.ssdBounded(a.data(), b.data(),
-                                                      len, bound);
-                for (simd::Level level : availableLevels()) {
-                    const float got = simd::kernelsFor(level).ssdBounded(
-                        a.data(), b.data(), len, bound);
-                    SCOPED_TRACE(testing::Message()
-                                 << "level=" << simd::toString(level)
-                                 << " len=" << len << " bound=" << bound);
-                    expectBitEqual(expected, got, "ssdBounded", 0);
-                }
-            }
-        }
-    }
-}
-
-TEST_F(SimdParity, SsdVariantsAgreeBitwiseAtPatchLength16)
-{
-    // The contract the batched block-matching path relies on: at 16
-    // elements, ssd, ssdFull and ssdBounded (any bound) are the same
-    // reduction tree, at every level.
-    Rng rng(303);
-    for (int trial = 0; trial < 50; ++trial) {
-        float a[16], b[16];
-        for (int i = 0; i < 16; ++i) {
-            a[i] = rng.uniform(-1e4f, 1e4f);
-            b[i] = rng.uniform(-1e4f, 1e4f);
-        }
-        for (simd::Level level : availableLevels()) {
-            const simd::KernelTable &k = simd::kernelsFor(level);
-            const float plain = k.ssd(a, b, 16);
-            const float full = k.ssdFull(a, b, 16);
-            const float bounded = k.ssdBounded(a, b, 16, plain * 0.5f);
-            SCOPED_TRACE(simd::toString(level));
-            expectBitEqual(plain, full, "ssd vs ssdFull", trial);
-            expectBitEqual(plain, bounded, "ssd vs ssdBounded", trial);
-        }
-    }
-}
-
-TEST_F(SimdParity, SsdBatch16MatchesSsdFullPerCandidate)
-{
-    Rng rng(404);
-    float ref_patch[16];
-    std::vector<float> cands(16 * 8);
-    for (float &v : ref_patch)
-        v = rng.uniform(-255.0f, 255.0f);
-    for (float &v : cands)
-        v = rng.uniform(-255.0f, 255.0f);
-
-    for (simd::Level level : availableLevels()) {
-        const simd::KernelTable &k = simd::kernelsFor(level);
-        for (int count = 1; count <= 8; ++count) {
-            float out[8];
-            k.ssdBatch16(ref_patch, cands.data(), count, out);
-            for (int i = 0; i < count; ++i) {
-                const float expected =
-                    k.ssdFull(ref_patch, cands.data() + 16 * i, 16);
-                SCOPED_TRACE(testing::Message()
-                             << "level=" << simd::toString(level)
-                             << " count=" << count);
-                expectBitEqual(expected, out[i], "ssdBatch16", i);
             }
         }
     }
@@ -320,6 +245,37 @@ struct SoaPlanes
     std::vector<float> store;
     std::vector<const float *> planes;
 };
+
+/**
+ * The SoA distance contract written out over contiguous descriptors:
+ * per 16-element block, lane j accumulates elements j then 8 + j, the
+ * lanes fold as ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)), and blocks,
+ * then the tail, add sequentially.
+ */
+float
+blockTreeSsd(const float *a, const float *b, int len)
+{
+    float acc = 0.0f;
+    int k = 0;
+    for (; k + 16 <= len; k += 16) {
+        float s[8];
+        for (int j = 0; j < 8; ++j) {
+            const float d = a[k + j] - b[k + j];
+            s[j] = d * d;
+        }
+        for (int j = 0; j < 8; ++j) {
+            const float d = a[k + 8 + j] - b[k + 8 + j];
+            s[j] += d * d;
+        }
+        acc += ((s[0] + s[4]) + (s[2] + s[6])) +
+               ((s[1] + s[5]) + (s[3] + s[7]));
+    }
+    for (; k < len; ++k) {
+        const float d = a[k] - b[k];
+        acc += d * d;
+    }
+    return acc;
+}
 
 } // namespace
 
@@ -363,8 +319,8 @@ TEST_F(SimdParity, SsdSoaMatchesScalarBitwiseIncludingEarlyExit)
 TEST_F(SimdParity, SsdSoaAgreesWithSsdFullOnGatheredDescriptors)
 {
     // The layout-independence contract: the SoA distance equals the
-    // position-major ssdFull of the gathered descriptors bit for bit,
-    // at every level (same per-16-block reduction tree).
+    // per-16-block tree over the gathered descriptors bit for bit, at
+    // every level.
     Rng rng(1515);
     for (int len : {4, 9, 16, 32, 48}) {
         SoaPlanes pa(len, 4), pb(len, 4);
@@ -382,11 +338,11 @@ TEST_F(SimdParity, SsdSoaAgreesWithSsdFullOnGatheredDescriptors)
             const float soa =
                 k.ssdSoa(pa.planes.data(), 3, pb.planes.data(), 0, len,
                          std::numeric_limits<float>::infinity());
-            const float aos = k.ssdFull(a.data(), b.data(), len);
+            const float aos = blockTreeSsd(a.data(), b.data(), len);
             SCOPED_TRACE(testing::Message()
                          << "level=" << simd::toString(level)
                          << " len=" << len);
-            expectBitEqual(aos, soa, "ssdSoa vs ssdFull", 0);
+            expectBitEqual(aos, soa, "ssdSoa vs block tree", 0);
         }
     }
 }
@@ -787,20 +743,11 @@ TEST_F(SimdParity, DistanceWrappersDispatchOnActiveLevel)
     }
     simd::setLevel(simd::Level::Scalar);
     const float d_ref = transforms::squaredDistance(a, b, 33);
-    const float f_ref = transforms::squaredDistanceFull(a, b, 33);
-    const float bd_ref = transforms::squaredDistanceBounded(
-        a, b, 33, f_ref * 0.25f);
     for (simd::Level level : availableLevels()) {
         simd::setLevel(level);
         SCOPED_TRACE(simd::toString(level));
         expectBitEqual(d_ref, transforms::squaredDistance(a, b, 33),
                        "squaredDistance", 0);
-        expectBitEqual(f_ref, transforms::squaredDistanceFull(a, b, 33),
-                       "squaredDistanceFull", 0);
-        expectBitEqual(
-            bd_ref,
-            transforms::squaredDistanceBounded(a, b, 33, f_ref * 0.25f),
-            "squaredDistanceBounded", 0);
     }
 }
 

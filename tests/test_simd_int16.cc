@@ -4,7 +4,7 @@
  *
  * Two properties are enforced for every *I16 kernel:
  *
- *  - bitwise parity: every dispatch level (scalar, SSE4.2, AVX2) must
+ *  - bitwise parity: every dispatch level (scalar, AVX2) must
  *    reproduce the scalar reference bit for bit, on random inputs and
  *    on adversarial saturating inputs (±32767, -32768, alternating
  *    signs) that stress the wrap/saturation contract;
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -160,89 +161,50 @@ struct SoaPlanes
     }
 };
 
+/**
+ * The int16 SSD contract written out: differences wrap in int16,
+ * squares accumulate mod 2^32.
+ */
+int32_t
+wrappedSsdI16(const int16_t *a, const int16_t *b, int len)
+{
+    uint32_t acc = 0;
+    for (int i = 0; i < len; ++i) {
+        const int16_t d = static_cast<int16_t>(static_cast<uint16_t>(a[i]) -
+                                               static_cast<uint16_t>(b[i]));
+        acc += static_cast<uint32_t>(static_cast<int32_t>(d) * d);
+    }
+    return static_cast<int32_t>(acc);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
 // SSD kernels: bitwise parity across levels, wrap semantics included.
 // ---------------------------------------------------------------------
 
-TEST_F(SimdInt16, SsdI16MatchesScalarBitwise)
-{
-    Rng rng(601);
-    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    for (int len : kLens) {
-        for (const auto &a : int16Families(rng, len)) {
-            std::vector<int16_t> b(len);
-            for (int16_t &v : b)
-                v = rng.i16(-32768, 32767);
-            const int32_t expected = ref.ssdI16(a.data(), b.data(), len);
-            for (simd::Level level : availableLevels()) {
-                SCOPED_TRACE(testing::Message()
-                             << "level=" << simd::toString(level)
-                             << " len=" << len);
-                EXPECT_EQ(expected, simd::kernelsFor(level).ssdI16(
-                                        a.data(), b.data(), len));
-            }
-        }
-    }
-}
-
 TEST_F(SimdInt16, SsdI16MatchesWideReference)
 {
     // In-range inputs: the int32 result must equal an exact int64
-    // reference (no wrap below the ssdSafeMagnitudeBits bound).
+    // reference (no wrap below the ssdSafeMagnitudeBits bound), over a
+    // full 16-candidate vector pass of the batch kernel.
     Rng rng(602);
     const int m = fixed::ssdSafeMagnitudeBits(16);
     const int lim = (1 << m) - 1;
     for (int len : {8, 16}) {
-        std::vector<int16_t> a(len), b(len);
-        for (int i = 0; i < len; ++i) {
-            a[i] = rng.i16(-lim, lim);
-            b[i] = 0;
-        }
-        int64_t wide = 0;
-        for (int i = 0; i < len; ++i) {
-            const int64_t d = a[i] - b[i];
-            wide += d * d;
-        }
+        SoaPlanes planes(rng, len, 16, -lim, lim);
+        const std::vector<int16_t> ref(len, 0);
         for (simd::Level level : availableLevels()) {
-            EXPECT_EQ(wide, simd::kernelsFor(level).ssdI16(a.data(),
-                                                           b.data(), len));
-        }
-    }
-}
-
-TEST_F(SimdInt16, SsdBoundedI16MatchesScalarBitwiseAcrossBounds)
-{
-    Rng rng(603);
-    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    for (int len : kLens) {
-        for (const auto &a : int16Families(rng, len)) {
-            std::vector<int16_t> b(len);
-            for (int16_t &v : b)
-                v = rng.i16(-8192, 8192);
-            const int32_t full = ref.ssdI16(a.data(), b.data(), len);
-            const int32_t bounds[] = {0,          1,         full / 2,
-                                      full - 1,   full,      full + 1,
-                                      INT32_MAX};
-            for (int32_t bound : bounds) {
-                const int32_t expected =
-                    ref.ssdBoundedI16(a.data(), b.data(), len, bound);
-                // Exit points are part of the contract: partial sums
-                // are bitwise identical at every level too.
-                for (simd::Level level : availableLevels()) {
-                    SCOPED_TRACE(testing::Message()
-                                 << "level=" << simd::toString(level)
-                                 << " len=" << len << " bound=" << bound);
-                    EXPECT_EQ(expected,
-                              simd::kernelsFor(level).ssdBoundedI16(
-                                  a.data(), b.data(), len, bound));
-                }
-                // A partial result may only occur above the bound;
-                // otherwise it must be the exact full distance.
-                if (expected <= bound) {
-                    EXPECT_EQ(expected, full);
-                }
+            int32_t out[16];
+            simd::kernelsFor(level).ssdSoaBatchI16(
+                ref.data(), planes.ptrs.data(), 0, len, 16, out);
+            for (int i = 0; i < 16; ++i) {
+                int64_t wide = 0;
+                for (int k = 0; k < len; ++k)
+                    wide += int64_t{planes.store[k][i]} * planes.store[k][i];
+                EXPECT_EQ(wide, out[i])
+                    << "level=" << simd::toString(level) << " len=" << len
+                    << " candidate=" << i;
             }
         }
     }
@@ -259,9 +221,7 @@ TEST_F(SimdInt16, SsdSoaI16MatchesGatheredSsd)
         for (size_t off_b : {size_t{5}, size_t{40}}) {
             planes.gather(off_a, coefs, pa);
             planes.gather(off_b, coefs, pb);
-            const int32_t expected =
-                simd::kernelsFor(simd::Level::Scalar)
-                    .ssdI16(pa, pb, coefs);
+            const int32_t expected = wrappedSsdI16(pa, pb, coefs);
             for (simd::Level level : availableLevels()) {
                 EXPECT_EQ(expected, simd::kernelsFor(level).ssdSoaI16(
                                         planes.ptrs.data(), off_a,
@@ -291,9 +251,7 @@ TEST_F(SimdInt16, SsdSoaBatchI16MatchesSingleCandidateCalls)
             // plain SSD against the gathered candidate at off + i.
             for (int i = 0; i < count; ++i) {
                 planes.gather(off + i, coefs, cand);
-                EXPECT_EQ(scalar_out[i],
-                          simd::kernelsFor(simd::Level::Scalar)
-                              .ssdI16(ref, cand, coefs))
+                EXPECT_EQ(scalar_out[i], wrappedSsdI16(ref, cand, coefs))
                     << "candidate " << i;
             }
             for (simd::Level level : availableLevels()) {
@@ -436,74 +394,6 @@ TEST_F(SimdInt16, Dct4ForwardI16WithinToleranceOfFloat)
 }
 
 // ---------------------------------------------------------------------
-// Int16 Haar butterflies.
-// ---------------------------------------------------------------------
-
-TEST_F(SimdInt16, HaarPairI16MatchesScalarBitwise)
-{
-    Rng rng(608);
-    const int16_t factor = 23170; // round(2^15 / sqrt(2))
-    for (int width : {1, 3, 7, 8, 15, 16, 31, 64}) {
-        for (const auto &even : int16Families(rng, width)) {
-            std::vector<int16_t> odd(width);
-            for (int16_t &v : odd)
-                v = rng.i16(-32768, 32767);
-            std::vector<int16_t> ea(width), ed(width), eo(width), ee(width);
-            const simd::KernelTable &ref =
-                simd::kernelsFor(simd::Level::Scalar);
-            ref.haarForwardPairI16(even.data(), odd.data(), ea.data(),
-                                   ed.data(), factor, width);
-            ref.haarInversePairI16(ea.data(), ed.data(), ee.data(),
-                                   eo.data(), factor, width);
-            for (simd::Level level : availableLevels()) {
-                std::vector<int16_t> a(width), d(width), oe(width),
-                    oo(width);
-                const simd::KernelTable &k = simd::kernelsFor(level);
-                k.haarForwardPairI16(even.data(), odd.data(), a.data(),
-                                     d.data(), factor, width);
-                k.haarInversePairI16(a.data(), d.data(), oe.data(),
-                                     oo.data(), factor, width);
-                for (int i = 0; i < width; ++i) {
-                    SCOPED_TRACE(testing::Message()
-                                 << "level=" << simd::toString(level)
-                                 << " width=" << width << " lane " << i);
-                    EXPECT_EQ(ea[i], a[i]);
-                    EXPECT_EQ(ed[i], d[i]);
-                    EXPECT_EQ(ee[i], oe[i]);
-                    EXPECT_EQ(eo[i], oo[i]);
-                }
-            }
-        }
-    }
-}
-
-TEST_F(SimdInt16, HaarForwardPairI16WithinToleranceOfFloat)
-{
-    Rng rng(609);
-    const int16_t factor = 23170;
-    const double factor_real = factor / 32768.0;
-    const int width = 16;
-    // In-range raws: |even + odd| stays below the saturation point.
-    std::vector<int16_t> even(width), odd(width);
-    for (int i = 0; i < width; ++i) {
-        even[i] = rng.i16(-16000, 16000);
-        odd[i] = rng.i16(-16000, 16000);
-    }
-    std::vector<int16_t> approx(width), detail(width);
-    simd::kernels().haarForwardPairI16(even.data(), odd.data(),
-                                       approx.data(), detail.data(), factor,
-                                       width);
-    for (int i = 0; i < width; ++i) {
-        // One Q15 rounded multiply: half a raw step, plus the factor's
-        // own quantization error (|f - 1/sqrt 2| * |sum| < 0.3 raw).
-        const double ea = (even[i] + odd[i]) * factor_real;
-        const double ed = (even[i] - odd[i]) * factor_real;
-        EXPECT_NEAR(ea, approx[i], 1.0) << "approx lane " << i;
-        EXPECT_NEAR(ed, detail[i], 1.0) << "detail lane " << i;
-    }
-}
-
-// ---------------------------------------------------------------------
 // Int16 hard threshold.
 // ---------------------------------------------------------------------
 
@@ -587,10 +477,33 @@ TEST_F(SimdInt16, DenoiseInt16WithinSnrToleranceOfFloat)
 namespace {
 
 /**
+ * One int16 Haar butterfly row, written out from the kernel contract:
+ * saturating add/sub (adds/subs_epi16), then a Q15 rounded multiply
+ * (mulhrs_epi16, including the -32768 * -32768 wrap). Each lane is read
+ * before it is written, so @p sum may alias @p x.
+ */
+void
+butterflyRowI16(const int16_t *x, const int16_t *y, int16_t *sum,
+                int16_t *diff, int16_t factor, int width)
+{
+    const auto sat = [](int32_t v) {
+        return static_cast<int16_t>(std::clamp(v, -32768, 32767));
+    };
+    const auto mulhrs = [factor](int16_t v) {
+        return static_cast<int16_t>(
+            (static_cast<int32_t>(v) * factor + 0x4000) >> 15);
+    };
+    for (int c = 0; c < width; ++c) {
+        const int32_t a = x[c], b = y[c];
+        sum[c] = mulhrs(sat(a + b));
+        diff[c] = mulhrs(sat(a - b));
+    }
+}
+
+/**
  * Discrete reference for haarShrinkFusedI16: replay the Haar1D
- * forwardRows/inverseRows schedule with the scalar haarForwardPairI16 /
- * haarInversePairI16 row kernels, hardThresholdI16 over the
- * transform-domain tile in between.
+ * forwardRows/inverseRows schedule with butterflyRowI16,
+ * hardThresholdI16 over the transform-domain tile in between.
  */
 int
 haarShrinkDiscreteI16(int16_t *g, int stack, int width, int16_t threshold,
@@ -606,12 +519,10 @@ haarShrinkDiscreteI16(int16_t *g, int stack, int width, int16_t threshold,
     while (len > 1) {
         const int half = len / 2;
         for (int i = 0; i < half; ++i)
-            ref.haarForwardPairI16(&buf[2 * i * width],
-                                   &buf[(2 * i + 1) * width],
-                                   &buf[static_cast<size_t>(i) * width],
-                                   &dom[static_cast<size_t>(half + i) *
-                                        width],
-                                   factor, width);
+            butterflyRowI16(&buf[2 * i * width], &buf[(2 * i + 1) * width],
+                            &buf[static_cast<size_t>(i) * width],
+                            &dom[static_cast<size_t>(half + i) * width],
+                            factor, width);
         len = half;
     }
     std::memcpy(dom.data(), buf.data(), sizeof(int16_t) * width);
@@ -624,12 +535,10 @@ haarShrinkDiscreteI16(int16_t *g, int stack, int width, int16_t threshold,
     std::vector<int16_t> tmp(n);
     while (len < stack) {
         for (int i = 0; i < len; ++i)
-            ref.haarInversePairI16(&buf[static_cast<size_t>(i) * width],
-                                   &dom[static_cast<size_t>(len + i) *
-                                        width],
-                                   &tmp[2 * i * width],
-                                   &tmp[(2 * i + 1) * width], factor,
-                                   width);
+            butterflyRowI16(&buf[static_cast<size_t>(i) * width],
+                            &dom[static_cast<size_t>(len + i) * width],
+                            &tmp[2 * i * width], &tmp[(2 * i + 1) * width],
+                            factor, width);
         len *= 2;
         std::memcpy(buf.data(), tmp.data(),
                     sizeof(int16_t) * static_cast<size_t>(len) * width);
@@ -673,8 +582,8 @@ TEST_F(SimdInt16, HaarShrinkFusedI16MatchesScalarBitwise)
 
 TEST_F(SimdInt16, HaarShrinkFusedI16MatchesDiscreteComposition)
 {
-    // The fused kernel must equal the pair-kernel butterfly schedule
-    // plus hardThresholdI16, including the saturating-add and
+    // The fused kernel must equal the row butterfly schedule plus
+    // hardThresholdI16, including the saturating-add and
     // mulhrs rounding at every level of the transform — verified on
     // the saturating and alternating-sign families where adds/subs
     // clamp and abs(-32768) stays negative.

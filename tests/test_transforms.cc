@@ -31,6 +31,16 @@ randomVector(int n, uint64_t seed, float lo = -100.0f, float hi = 100.0f)
     return v;
 }
 
+/** SoA view of one contiguous descriptor: plane k points at v[k]. */
+std::vector<const float *>
+soaPlanes(const std::vector<float> &v)
+{
+    std::vector<const float *> planes(v.size());
+    for (size_t k = 0; k < v.size(); ++k)
+        planes[k] = &v[k];
+    return planes;
+}
+
 } // namespace
 
 TEST(Dct, InvalidSizeThrows)
@@ -324,20 +334,28 @@ TEST(Distance, ZeroForIdentical)
 
 TEST(Distance, BoundedMatchesExactWhenUnderBound)
 {
-    auto a = randomVector(16, 89);
-    auto b = randomVector(16, 90);
-    float exact = ideal::transforms::squaredDistance(a.data(), b.data(), 16);
-    float bounded = ideal::transforms::squaredDistanceBounded(
-        a.data(), b.data(), 16, exact + 1.0f);
-    EXPECT_FLOAT_EQ(bounded, exact);
+    auto a = randomVector(32, 89);
+    auto b = randomVector(32, 90);
+    const auto pa = soaPlanes(a), pb = soaPlanes(b);
+    const float exact = ideal::transforms::squaredDistanceSoa(
+        pa.data(), 0, pb.data(), 0, 32);
+    const float bounded = ideal::transforms::squaredDistanceSoaBounded(
+        pa.data(), 0, pb.data(), 0, 32, exact + 1.0f);
+    EXPECT_EQ(bounded, exact);
 }
 
 TEST(Distance, BoundedEarlyExitsOverBound)
 {
-    auto a = randomVector(16, 91);
-    auto b = randomVector(16, 92);
-    float exact = ideal::transforms::squaredDistance(a.data(), b.data(), 16);
-    float bounded = ideal::transforms::squaredDistanceBounded(
-        a.data(), b.data(), 16, exact / 4.0f);
+    // Two 16-element blocks: a bound below the first block's sum
+    // returns that partial sum, which still compares above the bound
+    // and falls short of the full distance.
+    auto a = randomVector(32, 91);
+    auto b = randomVector(32, 92);
+    const auto pa = soaPlanes(a), pb = soaPlanes(b);
+    const float exact = ideal::transforms::squaredDistanceSoa(
+        pa.data(), 0, pb.data(), 0, 32);
+    const float bounded = ideal::transforms::squaredDistanceSoaBounded(
+        pa.data(), 0, pb.data(), 0, 32, exact / 4.0f);
     EXPECT_GT(bounded, exact / 4.0f);
+    EXPECT_LT(bounded, exact);
 }
