@@ -11,10 +11,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "bench/common.h"
+#include "bm3d/blockmatch.h"
 #include "fixed/int16plan.h"
+#include "image/noise.h"
+#include "image/synthetic.h"
 #include "simd/simd.h"
 
 using namespace ideal;
@@ -113,7 +118,9 @@ main(int argc, char **argv)
         {"ssd_pair_batch_int16", {}},           {"dct4_fwd_int16", {}},
         {"haar_shrink_fused", {}},              {"wiener_shrink_fused", {}},
         {"aggregate_group", {}},    {"haar_shrink_fused_int16", {}},
-        {"ssd_scan", {}},
+        {"ssd_scan", {}},           {"bm_search_w13", {}},
+        {"bm_search_w49", {}},      {"bm_search_w13_int16", {}},
+        {"bm_search_w49_int16", {}},
     };
 
     // Coefficient-major view of the pool for the SoA kernels: plane k
@@ -165,6 +172,40 @@ main(int argc, char **argv)
         glx[i] = (i * 7) % 60;
         gly[i] = (i * 11) % 60;
     }
+
+    // The search layer (BlockMatcher over a DCT field, as BM1 runs it):
+    // one fixed 256x256 noisy street field at the library's BM1
+    // threshold and Tmatch, both matching precisions. References sit
+    // on a regular grid; every match list is consumed, or the
+    // compiler may drop the selection along with the list.
+    const image::ImageF bm_plane = image::addGaussianNoise(
+        image::makeScene(image::SceneKind::Street, 256, 256, 1, 77), 25.0f,
+        78);
+    const transforms::Dct2D bm_dct(4);
+    bm3d::DctPatchField bm_field(bm_plane, bm_dct, 50.0f, std::nullopt,
+                                 nullptr);
+    bm_field.prepareI16();
+    bm_field.fillRowsI16(bm_plane, bm_dct, 50.0f, 0, bm_field.positionsY());
+    const bm3d::DctMatchDomain bm_f32(bm_field);
+    const bm3d::DctMatchDomainI16 bm_i16(bm_field);
+    const auto bm_searches = [&](const auto &domain, int window,
+                                 int ref_step) {
+        using Domain = std::decay_t<decltype(domain)>;
+        const bm3d::BlockMatcher<Domain> matcher(domain, window, 1, 1,
+                                                 3000.0f, 16);
+        bm3d::MatchList out;
+        for (int y = 0; y < domain.positionsY(); y += ref_step)
+            for (int x = 0; x < domain.positionsX(); x += ref_step) {
+                matcher.search(x, y, out);
+                for (const bm3d::Match &m : out)
+                    g_sink += m.distance + static_cast<float>(m.x + m.y);
+            }
+    };
+    const int step13 = quick ? 4 : 2;
+    const int step49 = quick ? 8 : 4;
+    rec.metrics["bm_search_field_px"] = 256;
+    rec.metrics["bm_search_w13_ref_step"] = step13;
+    rec.metrics["bm_search_w49_ref_step"] = step49;
 
     for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
         const auto level = static_cast<simd::Level>(l);
@@ -367,6 +408,15 @@ main(int argc, char **argv)
                     g_sink += out[0] + out[63];
                 }
         });
+
+        // The search rows dispatch through the active level.
+        const simd::Level active = simd::activeLevel();
+        simd::setLevel(level);
+        record([&] { bm_searches(bm_f32, 13, step13); });
+        record([&] { bm_searches(bm_f32, 49, step49); });
+        record([&] { bm_searches(bm_i16, 13, step13); });
+        record([&] { bm_searches(bm_i16, 49, step49); });
+        simd::setLevel(active);
     }
 
     for (const Timing &r : rows) {

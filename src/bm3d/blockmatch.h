@@ -13,8 +13,9 @@
  * distance of 8 adjacent candidates against a reference loads one
  * contiguous 8-float lane per coefficient (src/simd ssdSoaBatch)
  * instead of eight position-major descriptors. The matcher gathers
- * the reference descriptor once per search and streams the window
- * rows through the batch kernel.
+ * the reference descriptor once per search, scores every window row
+ * into one per-search distance buffer and selects the best matches
+ * from it with one kernel call (src/simd selectMatches).
  */
 
 #include <algorithm>
@@ -36,11 +37,17 @@ namespace ideal {
 namespace bm3d {
 
 /**
- * Largest candidate run a single distanceBatch dispatch covers: the
- * matcher chunks window rows to this, and int16 domains size their
- * raw-distance stack buffer with it.
+ * Candidates per int16 batch-kernel call: the int16 domains convert
+ * raw SSDs through a stack buffer of this many, one call per chunk of
+ * a window row.
  */
 inline constexpr int kMaxBatchCandidates = 128;
+
+/**
+ * Window candidates the matcher scores into its stack distance buffer
+ * (every window up to 63 x 63); larger windows use a heap buffer.
+ */
+inline constexpr int kWindowBuffer = 64 * 64;
 
 /** Matching domain over a DCT patch field (BM1, Path A). */
 class DctMatchDomain
@@ -48,9 +55,6 @@ class DctMatchDomain
   public:
     /** Element type of a gathered reference descriptor. */
     using DescType = float;
-
-    /** Float domains score in normalized units; no raw int path. */
-    static constexpr bool kRawBatch = false;
 
     explicit DctMatchDomain(const DctPatchField &field)
         : field_(field), coefs_(field.coefs()),
@@ -83,9 +87,6 @@ class DctMatchDomain
                    coefs_, bound / norm_) *
                norm_;
     }
-
-    /** The SoA batch kernel handles every patch size. */
-    bool supportsBatch() const { return true; }
 
     /** Gather the reference descriptor at (x, y) (patchCoefs floats). */
     void
@@ -135,9 +136,6 @@ class ColorMatchDomain
     /** Element type of a gathered reference descriptor. */
     using DescType = float;
 
-    /** Float domains score in normalized units; no raw int path. */
-    static constexpr bool kRawBatch = false;
-
     ColorMatchDomain(const image::ImageF &plane, int patch_size)
         : coefs_(patch_size * patch_size),
           positionsX_(plane.width() - patch_size + 1),
@@ -175,9 +173,6 @@ class ColorMatchDomain
                    offset(bx, by), coefs_, bound / norm_) *
                norm_;
     }
-
-    /** The SoA batch kernel handles every patch size. */
-    bool supportsBatch() const { return true; }
 
     /** Gather the reference descriptor at (x, y) (patchCoefs floats). */
     void
@@ -233,13 +228,6 @@ class DctMatchDomainI16
   public:
     using DescType = int16_t;
 
-    /**
-     * The matcher keeps window-scan distances as raw int32 SSDs and
-     * thresholds them against a precomputed raw tau, deferring the
-     * int32 -> float conversion to the (rare) accepted candidates.
-     */
-    static constexpr bool kRawBatch = true;
-
     explicit DctMatchDomainI16(const DctPatchField &field)
         : field_(field), coefs_(field.coefs()),
           factor_(static_cast<float>(fixed::ssdFactor(
@@ -274,51 +262,30 @@ class DctMatchDomainI16
                factor_;
     }
 
-    bool supportsBatch() const { return true; }
-
     void
     gatherRef(int x, int y, int16_t *out) const
     {
         field_.gatherMatchPatchI16(x, y, out);
     }
 
+    /**
+     * Normalized distances of the run [x0, x0 + count) at row @p y:
+     * exact int32 raw SSDs from the pair-interleaved batch kernel,
+     * each converted once to the float distance() returns.
+     */
     void
     distanceBatch(const int16_t *ref, int x0, int y, int count,
                   float *out) const
     {
-        int32_t tmp[kMaxBatchCandidates];
-        distanceBatchRaw(ref, x0, y, count, tmp);
-        for (int i = 0; i < count; ++i)
-            out[i] = fromRaw(tmp[i]);
-    }
-
-    /** Raw int32 SSDs of the run — no normalization, no conversion. */
-    void
-    distanceBatchRaw(const int16_t *ref, int x0, int y, int count,
-                     int32_t *out) const
-    {
-        simd::kernels().ssdPairBatchI16(ref, field_.matchPairPlanesI16(),
-                                        field_.matchOffset(x0, y), coefs_,
-                                        count, out);
-    }
-
-    /** Raw SSD -> the normalized units distanceBatch reports. */
-    float
-    fromRaw(int32_t raw) const
-    {
-        return static_cast<float>(raw) * factor_;
-    }
-
-    /**
-     * Smallest raw SSD whose normalized distance fails `d < tau`:
-     * `raw < rawThreshold(tau)` is exactly equivalent to
-     * `fromRaw(raw) < tau`, so raw-side selection picks the identical
-     * match set.
-     */
-    int32_t
-    rawThreshold(float tau) const
-    {
-        return exactRawThreshold(tau, factor_);
+        int32_t raw[kMaxBatchCandidates];
+        for (int i = 0; i < count; i += kMaxBatchCandidates) {
+            const int n = std::min(kMaxBatchCandidates, count - i);
+            simd::kernels().ssdPairBatchI16(
+                ref, field_.matchPairPlanesI16(),
+                field_.matchOffset(x0 + i, y), coefs_, n, raw);
+            for (int j = 0; j < n; ++j)
+                out[i + j] = static_cast<float>(raw[j]) * factor_;
+        }
     }
 
     /**
@@ -332,24 +299,6 @@ class DctMatchDomainI16
         const double scaled = static_cast<double>(bound) / factor;
         return scaled >= 2147483647.0 ? INT32_MAX
                                       : static_cast<int32_t>(scaled);
-    }
-
-    /**
-     * min { r : float(r) * factor >= tau }, clamped to INT32_MAX.
-     * float(r) * factor is monotonic in r, so starting from the
-     * truncated estimate and nudging across the rounding boundary
-     * converges in a couple of steps.
-     */
-    static int32_t
-    exactRawThreshold(float tau, float factor)
-    {
-        int64_t t = rawBound(tau, factor);
-        while (t < INT32_MAX &&
-               static_cast<float>(t) * factor < tau)
-            ++t;
-        while (t > 0 && static_cast<float>(t - 1) * factor >= tau)
-            --t;
-        return static_cast<int32_t>(t);
     }
 
   private:
@@ -369,9 +318,6 @@ class ColorMatchDomainI16
 {
   public:
     using DescType = int16_t;
-
-    /** Same raw-int32 window-scan contract as DctMatchDomainI16. */
-    static constexpr bool kRawBatch = true;
 
     /**
      * @param deferred skip the eager whole-plane quantization; the
@@ -443,8 +389,6 @@ class ColorMatchDomainI16
                factor_;
     }
 
-    bool supportsBatch() const { return true; }
-
     void
     gatherRef(int x, int y, int16_t *out) const
     {
@@ -453,46 +397,29 @@ class ColorMatchDomainI16
             out[k] = planes_[k][off];
     }
 
+    /**
+     * Normalized distances of the run, as DctMatchDomainI16's. This
+     * domain deliberately keeps the plain shifted-view layout rather
+     * than materializing pair-interleaved planes: the views all alias
+     * one half-megabyte quantized copy that stays L2-resident across
+     * the whole stage-2 scan, and in the full pipeline (searches
+     * interleaved with denoising work) that footprint win beats the
+     * pair kernel's shuffle-free inner loop, which needs a 16x larger
+     * array.
+     */
     void
     distanceBatch(const int16_t *ref, int x0, int y, int count,
                   float *out) const
     {
-        int32_t tmp[kMaxBatchCandidates];
-        distanceBatchRaw(ref, x0, y, count, tmp);
-        for (int i = 0; i < count; ++i)
-            out[i] = fromRaw(tmp[i]);
-    }
-
-    /**
-     * Raw int32 SSDs of the run — no normalization, no conversion.
-     * This domain deliberately keeps the plain shifted-view layout
-     * rather than materializing pair-interleaved planes: the views
-     * all alias one half-megabyte quantized copy that stays L2-
-     * resident across the whole stage-2 scan, and in the full
-     * pipeline (searches interleaved with denoising work) that
-     * footprint win beats the pair kernel's shuffle-free inner loop,
-     * which needs a 16x larger array.
-     */
-    void
-    distanceBatchRaw(const int16_t *ref, int x0, int y, int count,
-                     int32_t *out) const
-    {
-        simd::kernels().ssdSoaBatchI16(ref, planes_.data(),
-                                       offset(x0, y), coefs_, count, out);
-    }
-
-    /** Raw SSD -> the normalized units distanceBatch reports. */
-    float
-    fromRaw(int32_t raw) const
-    {
-        return static_cast<float>(raw) * factor_;
-    }
-
-    /** See DctMatchDomainI16::rawThreshold. */
-    int32_t
-    rawThreshold(float tau) const
-    {
-        return DctMatchDomainI16::exactRawThreshold(tau, factor_);
+        int32_t raw[kMaxBatchCandidates];
+        for (int i = 0; i < count; i += kMaxBatchCandidates) {
+            const int n = std::min(kMaxBatchCandidates, count - i);
+            simd::kernels().ssdSoaBatchI16(ref, planes_.data(),
+                                           offset(x0 + i, y), coefs_, n,
+                                           raw);
+            for (int j = 0; j < n; ++j)
+                out[i + j] = static_cast<float>(raw[j]) * factor_;
+        }
     }
 
   private:
@@ -541,8 +468,6 @@ class BlockMatcher
           searchStride_(search_stride), refStride_(ref_stride),
           tauMatch_(tau_match), maxMatches_(max_matches), bounded_(bounded)
     {
-        if constexpr (Domain::kRawBatch)
-            rawTau_ = domain.rawThreshold(tau_match);
     }
 
     /**
@@ -566,8 +491,8 @@ class BlockMatcher
      * bitwise identical to the plain search — the worst-distance term
      * reproduces exactly the insertions the dense scan would accept.
      * Candidates below Tmatch that the cutoff rejected are counted
-     * into @p pruned (may be null): the insertion attempts (and, on
-     * the raw int16 path, int->float conversions) the cutoff saved.
+     * into @p pruned (may be null): the insertion attempts the
+     * cutoff saved.
      * @return number of candidate distances evaluated
      */
     uint64_t
@@ -576,44 +501,10 @@ class BlockMatcher
     {
         out = MatchList(maxMatches_);
         out.insert(Match{xr, yr, 0.0f});
-        uint64_t evaluated = 0;
         uint64_t pruned_local = 0;
-        ScanState scan = makeScan(initial_bound);
-        const int x_lo = std::max(0, xr - half_);
-        const int x_hi = std::min(domain_.positionsX() - 1, xr + half_);
-        const int y_lo = std::max(0, yr - half_);
-        const int y_hi = std::min(domain_.positionsY() - 1, yr + half_);
-        if (searchStride_ == 1 && domain_.supportsBatch()) {
-            // Batched scan: the reference descriptor is gathered once,
-            // then each window row is a contiguous run of candidates
-            // scored 8 per kernel call. The reference row splits into
-            // the runs before and after the reference patch. Selection
-            // is identical to the bounded scalar path: the batch
-            // kernel returns exact distances, and any bounded early
-            // exit only happens above the acceptance bound.
-            typename Domain::DescType ref[64];
-            domain_.gatherRef(xr, yr, ref);
-            for (int y = y_lo; y <= y_hi; ++y) {
-                if (y == yr) {
-                    considerRun(ref, x_lo, xr - 1, y, out, scan,
-                                evaluated, pruned_local);
-                    considerRun(ref, xr + 1, x_hi, y, out, scan,
-                                evaluated, pruned_local);
-                } else {
-                    considerRun(ref, x_lo, x_hi, y, out, scan,
-                                evaluated, pruned_local);
-                }
-            }
-        } else {
-            for (int y = y_lo; y <= y_hi; y += searchStride_) {
-                for (int x = x_lo; x <= x_hi; x += searchStride_) {
-                    if (x == xr && y == yr)
-                        continue;
-                    considerCut(xr, yr, x, y, out, scan, pruned_local);
-                    ++evaluated;
-                }
-            }
-        }
+        float cut = std::min(tauMatch_, initial_bound);
+        const uint64_t evaluated =
+            scanWindow(xr, yr, half_, out, cut, pruned_local);
         if (pruned != nullptr)
             *pruned += pruned_local;
         return evaluated;
@@ -739,40 +630,15 @@ class BlockMatcher
     {
         out = MatchList(maxMatches_);
         out.insert(Match{xr, yr, 0.0f});
-        uint64_t evaluated = 0;
         uint64_t pruned_local = 0;
-        ScanState scan = makeScan(initial_bound);
+        float cut = std::min(tauMatch_, initial_bound);
 
         const int sh = std::min(half_, (seed_window - 1) / 2);
+        uint64_t evaluated = scanWindow(xr, yr, sh, out, cut, pruned_local);
         const int wx_lo = std::max(0, xr - sh);
         const int wx_hi = std::min(domain_.positionsX() - 1, xr + sh);
         const int wy_lo = std::max(0, yr - sh);
         const int wy_hi = std::min(domain_.positionsY() - 1, yr + sh);
-
-        if (searchStride_ == 1 && domain_.supportsBatch()) {
-            typename Domain::DescType ref[64];
-            domain_.gatherRef(xr, yr, ref);
-            for (int y = wy_lo; y <= wy_hi; ++y) {
-                if (y == yr) {
-                    considerRun(ref, wx_lo, xr - 1, y, out, scan,
-                                evaluated, pruned_local);
-                    considerRun(ref, xr + 1, wx_hi, y, out, scan,
-                                evaluated, pruned_local);
-                } else {
-                    considerRun(ref, wx_lo, wx_hi, y, out, scan,
-                                evaluated, pruned_local);
-                }
-            }
-        } else {
-            for (int y = wy_lo; y <= wy_hi; y += searchStride_) {
-                for (int x = wx_lo; x <= wx_hi; x += searchStride_) {
-                    if (x == xr && y == yr)
-                        continue;
-                    considerCut(xr, yr, x, y, out, scan, pruned_local);
-                    ++evaluated;
-                }
-            }
-        }
 
         const int x_lo = std::max(0, xr - half_);
         const int x_hi = std::min(domain_.positionsX() - 1, xr + half_);
@@ -787,7 +653,7 @@ class BlockMatcher
                 continue; // already scored by the verification window
             if (sx < x_lo || sx > x_hi || sy < y_lo || sy > y_hi)
                 continue; // drifted outside the full search window
-            considerCut(xr, yr, sx, sy, out, scan, pruned_local);
+            considerCut(xr, yr, sx, sy, out, cut, pruned_local);
             ++evaluated;
         }
         if (pruned != nullptr)
@@ -806,91 +672,71 @@ class BlockMatcher
 
   private:
     /**
-     * Running acceptance cutoff of one search. `cut` starts at
-     * min(Tmatch, the caller's initial bound) and tightens to the
-     * worst kept distance as the list fills; `rawCut` is its exact
-     * raw-int32 image on kRawBatch domains (maintained incrementally —
-     * rawThreshold() is monotone, so min-chaining per insert equals
-     * recomputing from the current worst).
+     * Scan the window of half-size @p half around reference (xr, yr)
+     * (clipped to the field) into @p out, which holds just the
+     * reference, under the running cut @p cut; candidates below
+     * Tmatch that the cut rejected count into @p pruned. With search
+     * stride 1 — every caller's — each window row is one distanceBatch
+     * run into a per-search distance buffer (the reference row whole,
+     * the reference's own slot then set to +inf so it neither inserts
+     * nor counts), and one selectMatches call selects from it in
+     * window order: exactly the per-candidate loop "below the cut,
+     * insert and tighten the cut to the worst kept distance; else
+     * below Tmatch, count", since the batch kernels return exact
+     * distances. Other strides run considerCut per candidate.
+     * @return number of candidate distances evaluated
      */
-    struct ScanState
+    uint64_t
+    scanWindow(int xr, int yr, int half, MatchList &out, float &cut,
+               uint64_t &pruned) const
     {
-        float cut;
-        int32_t rawCut;
-    };
-
-    ScanState
-    makeScan(float initial_bound) const
-    {
-        ScanState s;
-        s.cut = std::min(tauMatch_, initial_bound);
-        s.rawCut = 0;
-        if constexpr (Domain::kRawBatch)
-            s.rawCut = std::min(rawTau_, domain_.rawThreshold(s.cut));
-        return s;
-    }
-
-    /**
-     * Batched consideration of the run [x0, x1] at row @p y (empty
-     * when x0 > x1) against the gathered reference @p ref: one
-     * distanceBatch dispatch per kChunk candidates (whole window rows
-     * in practice). Requires domain_.supportsBatch(). Candidates below
-     * Tmatch that the running cutoff rejected are counted into
-     * @p pruned.
-     */
-    void
-    considerRun(const typename Domain::DescType *ref, int x0, int x1,
-                int y, MatchList &out, ScanState &scan,
-                uint64_t &evaluated, uint64_t &pruned) const
-    {
-        // multiple of 8; > any usual window
-        constexpr int kChunk = kMaxBatchCandidates;
-        if constexpr (Domain::kRawBatch) {
-            // Raw-side thresholding: the window scan stays in int32
-            // (no per-candidate int->float conversion) and candidates
-            // die on one integer compare. The cutoff is the exact raw
-            // image of min(tau, initial bound, current 16th-best
-            // distance) — in the DCT domain ~75% of candidates sit
-            // below tau, so gating on tau alone would convert and
-            // attempt an insert for nearly every candidate. d < cutoff
-            // implies the insert accepts, and (at infinite initial
-            // bound) every candidate the insert would accept satisfies
-            // d < cutoff (rawThreshold() is the exact boundary), so
-            // the selected set is bitwise identical to the dense scan.
-            int32_t d[kChunk];
-            for (int x = x0; x <= x1; x += kChunk) {
-                const int count = std::min(kChunk, x1 - x + 1);
-                domain_.distanceBatchRaw(ref, x, y, count, d);
-                for (int i = 0; i < count; ++i) {
-                    if (d[i] < scan.rawCut) {
-                        out.insert(
-                            Match{x + i, y, domain_.fromRaw(d[i])});
-                        scan.rawCut = std::min(
-                            scan.rawCut,
-                            domain_.rawThreshold(out.worstDistance()));
-                    } else if (d[i] < rawTau_) {
-                        ++pruned;
-                    }
+        const int x_lo = std::max(0, xr - half);
+        const int x_hi = std::min(domain_.positionsX() - 1, xr + half);
+        const int y_lo = std::max(0, yr - half);
+        const int y_hi = std::min(domain_.positionsY() - 1, yr + half);
+        if (searchStride_ != 1) {
+            uint64_t evaluated = 0;
+            for (int y = y_lo; y <= y_hi; y += searchStride_) {
+                for (int x = x_lo; x <= x_hi; x += searchStride_) {
+                    if (x == xr && y == yr)
+                        continue;
+                    considerCut(xr, yr, x, y, out, cut, pruned);
+                    ++evaluated;
                 }
-                evaluated += count;
             }
-        } else {
-            float d[kChunk];
-            for (int x = x0; x <= x1; x += kChunk) {
-                const int count = std::min(kChunk, x1 - x + 1);
-                domain_.distanceBatch(ref, x, y, count, d);
-                for (int i = 0; i < count; ++i) {
-                    if (d[i] < scan.cut) {
-                        out.insert(Match{x + i, y, d[i]});
-                        scan.cut = std::min(scan.cut,
-                                            out.worstDistance());
-                    } else if (d[i] < tauMatch_) {
-                        ++pruned;
-                    }
-                }
-                evaluated += count;
-            }
+            return evaluated;
         }
+
+        const int w = x_hi - x_lo + 1;
+        const int n = w * (y_hi - y_lo + 1);
+        float stack_buf[kWindowBuffer];
+        std::vector<float> heap_buf;
+        float *d = stack_buf;
+        if (n > kWindowBuffer) {
+            heap_buf.resize(static_cast<size_t>(n));
+            d = heap_buf.data();
+        }
+        typename Domain::DescType ref[64];
+        domain_.gatherRef(xr, yr, ref);
+        for (int y = y_lo; y <= y_hi; ++y)
+            domain_.distanceBatch(ref, x_lo, y, w,
+                                  d + static_cast<size_t>(y - y_lo) * w);
+        const int self = (yr - y_lo) * w + (xr - x_lo);
+        d[self] = std::numeric_limits<float>::infinity();
+
+        simd::BestList best{};
+        best.capacity = out.capacity();
+        best.size = 1;
+        best.dist[0] = 0.0f;
+        best.idx[0] = self;
+        pruned += static_cast<uint64_t>(
+            simd::kernels().selectMatches(d, n, tauMatch_, cut, &best));
+        out = MatchList(maxMatches_);
+        for (int i = 0; i < best.size; ++i)
+            out.insert(Match{x_lo + best.idx[i] % w, y_lo + best.idx[i] / w,
+                             best.dist[i]});
+        cut = std::min(cut, out.worstDistance());
+        return static_cast<uint64_t>(n - 1);
     }
 
     void
@@ -905,8 +751,8 @@ class BlockMatcher
     }
 
     /**
-     * Scalar consideration under a running cutoff (the non-batch
-     * fallback of the bounded search paths). At infinite initial bound
+     * Per-candidate consideration under a running cutoff (search
+     * strides other than 1, and temporal seeds). At infinite initial bound
      * this accepts exactly the candidates consider() would keep: the
      * early-exit bound min(cut, worst) equals consider()'s
      * min(Tmatch, worst), a partial early-exit sum only ever compares
@@ -916,16 +762,16 @@ class BlockMatcher
      * deterministic, which is what the --ops-tolerance gate needs.
      */
     void
-    considerCut(int xr, int yr, int x, int y, MatchList &out,
-                ScanState &scan, uint64_t &pruned) const
+    considerCut(int xr, int yr, int x, int y, MatchList &out, float &cut,
+                uint64_t &pruned) const
     {
-        const float bound = std::min(scan.cut, out.worstDistance());
+        const float bound = std::min(cut, out.worstDistance());
         float d = bounded_
                       ? domain_.distanceBounded(xr, yr, x, y, bound)
                       : domain_.distance(xr, yr, x, y);
         if (d < bound) {
             out.insert(Match{x, y, d});
-            scan.cut = std::min(scan.cut, out.worstDistance());
+            cut = std::min(cut, out.worstDistance());
         } else if (d < tauMatch_) {
             ++pruned;
         }
@@ -936,7 +782,6 @@ class BlockMatcher
     int searchStride_;
     int refStride_;
     float tauMatch_;
-    int32_t rawTau_ = 0; ///< exact raw tau (kRawBatch domains only)
     int maxMatches_;
     bool bounded_;
 };

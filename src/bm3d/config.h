@@ -37,8 +37,9 @@ enum class Stage {
  * int16 raws; DE2's Wiener shrinkage and all inverse transforms stay
  * float. Output is NOT bitwise equal to Float32 (tolerance-gated
  * instead) but is bitwise deterministic across SIMD levels and thread
- * counts within Int16. Requires patchSize == 4 and fusedDenoise;
- * temporal match seeding is disabled under Int16.
+ * counts within Int16. Requires patchSize == 4 and the fused denoise
+ * path (fusedDenoise, no fixedPoint, sharpenAlpha 1), the only one with
+ * an int16 DE1; temporal match seeding is disabled under Int16.
  */
 enum class Precision {
     Float32, ///< full float matching (the default)
@@ -75,11 +76,10 @@ enum class WeightingMode {
  *     so the previous cell's 16th-best distance is a tight prediction
  *     of the current one's. Candidates whose distance already exceeds
  *     the propagated bound die on one compare without an insertion
- *     attempt (or an int->float conversion on the int16 path). A
- *     candidate is only ever lost when its distance lands between the
- *     bound and what the dense scan would have kept, which the margin
- *     makes rare; boundMargin = infinity is *bitwise* identical to the
- *     dense scan.
+ *     attempt. A candidate is only ever lost when its distance lands
+ *     between the bound and what the dense scan would have kept, which
+ *     the margin makes rare; boundMargin = infinity is *bitwise*
+ *     identical to the dense scan.
  *
  *  2. *Coarse-to-fine reference grid* (coarseToFine): BM runs on a
  *     subsampled reference grid (every coarseStride-th grid position,
@@ -232,11 +232,11 @@ struct Bm3dConfig
     /// instead of discrete per-row kernel dispatches. Under Float32,
     /// output is bitwise identical either way (the fused kernels
     /// replay the exact per-element operation sequence of the
-    /// discrete path) and disabling is a perf-ablation knob. Only the
-    /// fused path has an int16 DE1, so validate() rejects Int16 with
-    /// this off. The fused path requires patchSize == 4, no fixedPoint
-    /// formats and sharpenAlpha == 1, and silently falls back to the
-    /// discrete path otherwise.
+    /// discrete path) and disabling is a perf-ablation knob. The fused
+    /// path requires patchSize == 4, no fixedPoint formats and
+    /// sharpenAlpha == 1, and falls back to the discrete path
+    /// otherwise; only the fused path has an int16 DE1, so validate()
+    /// rejects Int16 with any of those fallbacks.
     bool fusedDenoise = true;
 
     MrConfig mr;
@@ -326,10 +326,12 @@ struct Bm3dConfig
         if (precision == Precision::Int16 && patchSize != 4)
             throw std::invalid_argument(
                 "int16 precision requires patchSize == 4");
-        if (precision == Precision::Int16 && !fusedDenoise)
+        if (precision == Precision::Int16 &&
+            (!fusedDenoise || fixedPoint || sharpenAlpha > 1.0f))
             throw std::invalid_argument(
-                "int16 precision requires fusedDenoise (the discrete "
-                "denoise path has no int16 DE1)");
+                "int16 precision requires the fused denoise path "
+                "(fusedDenoise on, no fixedPoint, sharpenAlpha 1): the "
+                "discrete denoise path has no int16 DE1");
     }
 
     /** Search window size of @p stage. */

@@ -140,9 +140,10 @@ pickPreset(const image::ImageF &img)
 Bm3dConfig
 applyPreset(Bm3dConfig base, ScenePreset preset)
 {
-    // Int16 matching needs the 4x4 patch datapath; leave precision
-    // alone for other patch sizes.
-    const bool can_i16 = base.patchSize == 4;
+    // Int16 matching needs the fused 4x4 denoise datapath; leave
+    // precision alone for configs validate() would reject under Int16.
+    const bool can_i16 = base.patchSize == 4 && base.fusedDenoise &&
+                         !base.fixedPoint && base.sharpenAlpha <= 1.0f;
     switch (preset) {
       case ScenePreset::Nature:
         // Smooth self-similar content: good matches everywhere, so

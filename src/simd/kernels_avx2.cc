@@ -2,7 +2,8 @@
  * @file
  * AVX2 kernels (256-bit). The 8 canonical SSD lanes live in a single
  * __m256 whose extract/add/movehl fold is exactly the canonical tree;
- * the 4x4 DCT passes process two rows per register. Compiled with
+ * the inverse 4x4 DCT pass processes two rows per register, the
+ * forward pass one row per 128-bit register. Compiled with
  * -mavx2 -ffp-contract=off (and no -mfma); bitwise parity with the
  * scalar table is enforced by tests/test_simd.cc.
  */
@@ -13,7 +14,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace ideal {
 namespace simd {
@@ -130,13 +133,18 @@ void
 ssdSoaBatch(const float *ref, const float *const *planes, size_t off,
             int len, int count, float *out)
 {
+    if (count < 8) {
+        for (int i = 0; i < count; ++i)
+            out[i] =
+                ssdSoaOne(ref, planes, off + static_cast<size_t>(i), len);
+        return;
+    }
     // Eight candidates per pass: the 8 canonical accumulator lanes of
     // each candidate live across 8 __m256 registers (candidate =
     // vector lane); every coefficient plane is one contiguous 8-float
     // load and the block fold is purely vertical, so the per-lane
     // operation sequence equals the scalar reference exactly.
-    int i = 0;
-    for (; i + 8 <= count; i += 8) {
+    const auto group8 = [&](int i) {
         const size_t o = off + static_cast<size_t>(i);
         __m256 acc = _mm256_setzero_ps();
         int k = 0;
@@ -167,9 +175,120 @@ ssdSoaBatch(const float *ref, const float *const *planes, size_t off,
             acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
         }
         _mm256_storeu_ps(out + i, acc);
+    };
+    int i = 0;
+    for (; i + 8 <= count; i += 8)
+        group8(i);
+    // Overlapped tail: rescore the run's last 8 candidates. Lanes are
+    // independent, so the overlap rewrites identical values.
+    if (i < count)
+        group8(count - 8);
+}
+
+int
+selectMatches(const float *d, int count, float tau, float cut,
+              BestList *list)
+{
+    // The 16-entry list lives in four registers: distances in dlo/dhi,
+    // slots in ilo/ihi. Lanes at and past size hold +inf, so lane
+    // capacity - 1 is the worst distance of a full list and +inf
+    // otherwise, and the 16 lanes stay sorted: a candidate goes to the
+    // first lane holding a greater distance, the lanes from there on
+    // shift up by one, and one not below lane capacity - 1 leaves
+    // lanes [0, capacity) as they were (the list's rejection).
+    const float inf = std::numeric_limits<float>::infinity();
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i up = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+    const __m256i size_v = _mm256_set1_epi32(list->size);
+    const __m256 infv = _mm256_set1_ps(inf);
+    __m256 dlo = _mm256_blendv_ps(
+        infv, _mm256_loadu_ps(list->dist),
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(size_v, lane)));
+    __m256 dhi = _mm256_blendv_ps(
+        infv, _mm256_loadu_ps(list->dist + 8),
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(
+            size_v, _mm256_add_epi32(lane, _mm256_set1_epi32(8)))));
+    __m256i ilo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(list->idx));
+    __m256i ihi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(list->idx + 8));
+    const int cap = list->capacity;
+    const __m256i worst_lane = _mm256_set1_epi32((cap - 1) & 7);
+    const __m256 neg_inf = _mm256_set1_ps(-inf);
+    const __m256 tauv = _mm256_set1_ps(tau);
+    int size = list->size;
+    int pruned = 0;
+
+    for (int base = 0; base < count; base += 8) {
+        const int n = count - base < 8 ? count - base : 8;
+        const __m256 v =
+            n == 8 ? _mm256_loadu_ps(d + base)
+                   : _mm256_maskload_ps(
+                         d + base, _mm256_cmpgt_epi32(
+                                       _mm256_set1_epi32(n), lane));
+        const unsigned valid = (1u << n) - 1u;
+        // Pre-filter: the cut only falls, so a lane not below it now
+        // stays rejected for the rest of the group.
+        unsigned accept = static_cast<unsigned>(_mm256_movemask_ps(
+                              _mm256_cmp_ps(v, _mm256_set1_ps(cut),
+                                            _CMP_LT_OQ))) &
+                          valid;
+        const unsigned below_tau =
+            static_cast<unsigned>(_mm256_movemask_ps(
+                _mm256_cmp_ps(v, tauv, _CMP_LT_OQ))) &
+            valid;
+        pruned += _mm_popcnt_u32(below_tau & ~accept);
+        while (accept != 0) {
+            const int j = __builtin_ctz(accept);
+            accept &= accept - 1;
+            const float x = d[base + j];
+            if (!(x < cut)) {
+                if (x < tau)
+                    ++pruned;
+                continue;
+            }
+            const __m256 xv = _mm256_set1_ps(x);
+            const __m256i sv = _mm256_set1_epi32(base + j);
+            // Shift-up images: lane k holds lane k - 1 of the list
+            // (-inf in front of lane 0, which is never greater than x).
+            const __m256 dlo_r = _mm256_permutevar8x32_ps(dlo, up);
+            const __m256 dhi_r = _mm256_permutevar8x32_ps(dhi, up);
+            const __m256i ilo_r = _mm256_permutevar8x32_epi32(ilo, up);
+            const __m256i ihi_r = _mm256_permutevar8x32_epi32(ihi, up);
+            const __m256 slo = _mm256_blend_ps(dlo_r, neg_inf, 0x01);
+            const __m256 shi = _mm256_blend_ps(dhi_r, dlo_r, 0x01);
+            const __m256i sihi = _mm256_blend_epi32(ihi_r, ilo_r, 0x01);
+            const __m256 gt_lo = _mm256_cmp_ps(dlo, xv, _CMP_GT_OQ);
+            const __m256 gt_hi = _mm256_cmp_ps(dhi, xv, _CMP_GT_OQ);
+            const __m256 sgt_lo = _mm256_cmp_ps(slo, xv, _CMP_GT_OQ);
+            const __m256 sgt_hi = _mm256_cmp_ps(shi, xv, _CMP_GT_OQ);
+            // Greater lanes take their shifted-up entry, except the
+            // first of them, which takes the candidate.
+            dlo = _mm256_blendv_ps(dlo, _mm256_blendv_ps(xv, slo, sgt_lo),
+                                   gt_lo);
+            dhi = _mm256_blendv_ps(dhi, _mm256_blendv_ps(xv, shi, sgt_hi),
+                                   gt_hi);
+            ilo = _mm256_blendv_epi8(
+                ilo,
+                _mm256_blendv_epi8(sv, ilo_r, _mm256_castps_si256(sgt_lo)),
+                _mm256_castps_si256(gt_lo));
+            ihi = _mm256_blendv_epi8(
+                ihi,
+                _mm256_blendv_epi8(sv, sihi, _mm256_castps_si256(sgt_hi)),
+                _mm256_castps_si256(gt_hi));
+            if (size < cap)
+                ++size;
+            const float worst = _mm256_cvtss_f32(_mm256_permutevar8x32_ps(
+                cap > 8 ? dhi : dlo, worst_lane));
+            cut = std::min(cut, worst);
+        }
     }
-    for (; i < count; ++i)
-        out[i] = ssdSoaOne(ref, planes, off + static_cast<size_t>(i), len);
+    _mm256_storeu_ps(list->dist, dlo);
+    _mm256_storeu_ps(list->dist + 8, dhi);
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(list->idx), ilo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(list->idx + 8), ihi);
+    list->size = size;
+    return pruned;
 }
 
 /** [coef_lo broadcast | coef_hi broadcast] */
@@ -177,33 +296,6 @@ inline __m256
 pair(float lo, float hi)
 {
     return _mm256_set_m128(_mm_set1_ps(hi), _mm_set1_ps(lo));
-}
-
-/** low128(v) + high128(v), per lane. */
-inline __m128
-halfAdd(__m256 v)
-{
-    return _mm_add_ps(_mm256_castps256_ps128(v),
-                      _mm256_extractf128_ps(v, 1));
-}
-
-inline void
-dct4Pass(const float *in, float *out, const float *even, const float *odd)
-{
-    // [row0|row1] and [row3|row2] give S = [s0|s1], D = [d0|d1]
-    // with one vertical add/sub each.
-    const __m256 r01 = _mm256_loadu_ps(in);
-    const __m256 r32 = _mm256_set_m128(_mm_loadu_ps(in + 8),
-                                       _mm_loadu_ps(in + 12));
-    const __m256 s = _mm256_add_ps(r01, r32);
-    const __m256 d = _mm256_sub_ps(r01, r32);
-    _mm_storeu_ps(out, halfAdd(_mm256_mul_ps(s, pair(even[0], even[1]))));
-    _mm_storeu_ps(out + 4,
-                  halfAdd(_mm256_mul_ps(d, pair(odd[0], odd[1]))));
-    _mm_storeu_ps(out + 8,
-                  halfAdd(_mm256_mul_ps(s, pair(even[2], even[3]))));
-    _mm_storeu_ps(out + 12,
-                  halfAdd(_mm256_mul_ps(d, pair(odd[2], odd[3]))));
 }
 
 inline void
@@ -247,14 +339,44 @@ transpose4(const float *in, float *out)
     _mm_storeu_ps(out + 12, r3);
 }
 
+/**
+ * Forward row pass on four 128-bit rows: mirror sums/differences, then
+ * each output row as two broadcast products — the scalar reference's
+ * per-lane expressions, with no cross-lane fold.
+ */
+inline void
+dct4Pass(__m128 &r0, __m128 &r1, __m128 &r2, __m128 &r3, const __m128 e[4],
+         const __m128 o[4])
+{
+    const __m128 s0 = _mm_add_ps(r0, r3);
+    const __m128 s1 = _mm_add_ps(r1, r2);
+    const __m128 d0 = _mm_sub_ps(r0, r3);
+    const __m128 d1 = _mm_sub_ps(r1, r2);
+    r0 = _mm_add_ps(_mm_mul_ps(e[0], s0), _mm_mul_ps(e[1], s1));
+    r1 = _mm_add_ps(_mm_mul_ps(o[0], d0), _mm_mul_ps(o[1], d1));
+    r2 = _mm_add_ps(_mm_mul_ps(e[2], s0), _mm_mul_ps(e[3], s1));
+    r3 = _mm_add_ps(_mm_mul_ps(o[2], d0), _mm_mul_ps(o[3], d1));
+}
+
 void
 dct4Forward(const float *in, float *out, const float *fwd_even,
             const float *fwd_odd)
 {
-    float t1[16], t2[16];
-    dct4Pass(in, t1, fwd_even, fwd_odd);
-    transpose4(t1, t2);
-    dct4Pass(t2, out, fwd_even, fwd_odd);
+    const __m128 e[4] = {_mm_set1_ps(fwd_even[0]), _mm_set1_ps(fwd_even[1]),
+                         _mm_set1_ps(fwd_even[2]), _mm_set1_ps(fwd_even[3])};
+    const __m128 o[4] = {_mm_set1_ps(fwd_odd[0]), _mm_set1_ps(fwd_odd[1]),
+                         _mm_set1_ps(fwd_odd[2]), _mm_set1_ps(fwd_odd[3])};
+    __m128 r0 = _mm_loadu_ps(in);
+    __m128 r1 = _mm_loadu_ps(in + 4);
+    __m128 r2 = _mm_loadu_ps(in + 8);
+    __m128 r3 = _mm_loadu_ps(in + 12);
+    dct4Pass(r0, r1, r2, r3, e, o);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    dct4Pass(r0, r1, r2, r3, e, o);
+    _mm_storeu_ps(out, r0);
+    _mm_storeu_ps(out + 4, r1);
+    _mm_storeu_ps(out + 8, r2);
+    _mm_storeu_ps(out + 12, r3);
 }
 
 void
@@ -523,23 +645,48 @@ ssdSoaBatchI16(const int16_t *ref, const int16_t *const *planes,
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), out0);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + 8), out1);
     };
+    // Eight candidates: the same pair interleave on 128-bit loads,
+    // the two halves joined into one 256-bit madd (already linear).
+    const auto block8 = [&](size_t o, int32_t *dst) {
+        __m256i acc = _mm256_setzero_si256();
+        int k = 0;
+        for (; k + 2 <= len; k += 2) {
+            const __m128i dk = _mm_sub_epi16(
+                _mm_set1_epi16(ref[k]),
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(planes[k] + o)));
+            const __m128i dk1 = _mm_sub_epi16(
+                _mm_set1_epi16(ref[k + 1]),
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(planes[k + 1] + o)));
+            const __m256i p = _mm256_set_m128i(_mm_unpackhi_epi16(dk, dk1),
+                                               _mm_unpacklo_epi16(dk, dk1));
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(p, p));
+        }
+        if (k < len) { // odd trailing coefficient
+            const __m256i w = _mm256_cvtepi16_epi32(_mm_sub_epi16(
+                _mm_set1_epi16(ref[k]),
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(planes[k] + o))));
+            acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(w, w));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), acc);
+    };
+    if (count < 8) {
+        for (int i = 0; i < count; ++i)
+            out[i] = ssdSoaOneI16(ref, planes,
+                                  off + static_cast<size_t>(i), len);
+        return;
+    }
     int i = 0;
     for (; i + 16 <= count; i += 16)
         block16(off + static_cast<size_t>(i), out + i);
-    if (i < count) {
-        if (count >= 16) {
-            // Overlapped final pass: recompute the last full window of
-            // 16 candidates instead of falling back to strided scalar
-            // gathers. SSDs are pure per-candidate functions, so the
-            // overlapping lanes just rewrite identical values.
-            block16(off + static_cast<size_t>(count - 16),
-                    out + (count - 16));
-        } else {
-            for (; i < count; ++i)
-                out[i] = ssdSoaOneI16(ref, planes,
-                                      off + static_cast<size_t>(i), len);
-        }
-    }
+    for (; i + 8 <= count; i += 8)
+        block8(off + static_cast<size_t>(i), out + i);
+    // Overlapped tail (see ssdSoaBatch): SSDs are pure per-candidate
+    // functions, so the overlapping lanes rewrite identical values.
+    if (i < count)
+        block8(off + static_cast<size_t>(count - 8), out + (count - 8));
 }
 
 inline int32_t
@@ -564,7 +711,8 @@ ssdPairBatchI16(const int16_t *ref, const int16_t *const *pair_planes,
     // (2p, 2p+1) lanes of eight adjacent candidates and madd against
     // the broadcast reference pair yields eight already-linear int32
     // partial sums. Sixteen candidates per pass, two loads and two
-    // madds per pair, zero shuffles.
+    // madds per pair, zero shuffles; then eight-candidate blocks of one
+    // load and one madd per pair.
     const int pairs = len / 2;
     __m256i rbc[32]; // ref pairs broadcast once; len <= 64 coefs
     for (int p = 0; p < pairs && p < 32; ++p) {
@@ -592,21 +740,31 @@ ssdPairBatchI16(const int16_t *ref, const int16_t *const *pair_planes,
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), acc0);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + 8), acc1);
     };
+    const auto block8 = [&](size_t o2, int32_t *dst) {
+        __m256i acc = _mm256_setzero_si256();
+        for (int p = 0; p < pairs; ++p) {
+            const __m256i d = _mm256_sub_epi16(
+                rbc[p], _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                            pair_planes[p] + o2)));
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), acc);
+    };
+    if (count < 8) {
+        for (int i = 0; i < count; ++i)
+            out[i] = ssdPairOneI16(ref, pair_planes,
+                                   2 * (off + static_cast<size_t>(i)), len);
+        return;
+    }
     int i = 0;
     for (; i + 16 <= count; i += 16)
         block16(2 * (off + static_cast<size_t>(i)), out + i);
-    if (i < count) {
-        if (count >= 16) {
-            // Overlapped final pass (see ssdSoaBatchI16).
-            block16(2 * (off + static_cast<size_t>(count - 16)),
-                    out + (count - 16));
-        } else {
-            for (; i < count; ++i)
-                out[i] = ssdPairOneI16(
-                    ref, pair_planes,
-                    2 * (off + static_cast<size_t>(i)), len);
-        }
-    }
+    for (; i + 8 <= count; i += 8)
+        block8(2 * (off + static_cast<size_t>(i)), out + i);
+    // Overlapped tail (see ssdSoaBatchI16).
+    if (i < count)
+        block8(2 * (off + static_cast<size_t>(count - 8)),
+               out + (count - 8));
 }
 
 /** [set1(lo) | set1(hi)] as 8 int32 lanes. */
@@ -1084,9 +1242,9 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
 }
 
 const KernelTable kAvx2TableStorage = {
-    ssd,           ssdSoa,          ssdSoaBatch,   dct4Forward,
-    dct4Inverse,   haarForwardPair, haarInversePair, hardThreshold,
-    wienerApply,   aggregateAdd,    mergeAdd,
+    ssd,           ssdSoa,          ssdSoaBatch,     selectMatches,
+    dct4Forward,   dct4Inverse,     haarForwardPair, haarInversePair,
+    hardThreshold, wienerApply,     aggregateAdd,    mergeAdd,
     ssdSoaI16,     ssdSoaBatchI16,  ssdPairBatchI16, dct4ForwardI16,
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,

@@ -10,7 +10,9 @@
 
 #include "simd/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace ideal {
 namespace simd {
@@ -120,6 +122,45 @@ ssdSoaBatch(const float *ref, const float *const *planes, size_t off,
 {
     for (int i = 0; i < count; ++i)
         out[i] = ssdSoaOne(ref, planes, off + static_cast<size_t>(i), len);
+}
+
+/** bm3d::MatchList::insert on the BestList arrays. */
+inline void
+bestInsert(BestList &list, float v, int32_t idx)
+{
+    const int cap = list.capacity;
+    if (list.size == cap && v >= list.dist[cap - 1])
+        return;
+    int pos = list.size < cap ? list.size : cap - 1;
+    while (pos > 0 && list.dist[pos - 1] > v) {
+        list.dist[pos] = list.dist[pos - 1];
+        list.idx[pos] = list.idx[pos - 1];
+        --pos;
+    }
+    list.dist[pos] = v;
+    list.idx[pos] = idx;
+    if (list.size < cap)
+        ++list.size;
+}
+
+int
+selectMatches(const float *d, int count, float tau, float cut,
+              BestList *list)
+{
+    int pruned = 0;
+    for (int i = 0; i < count; ++i) {
+        if (d[i] < cut) {
+            bestInsert(*list, d[i], i);
+            const float worst =
+                list->size < list->capacity
+                    ? std::numeric_limits<float>::infinity()
+                    : list->dist[list->capacity - 1];
+            cut = std::min(cut, worst);
+        } else if (d[i] < tau) {
+            ++pruned;
+        }
+    }
+    return pruned;
 }
 
 /**
@@ -673,9 +714,9 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
 } // namespace
 
 const KernelTable kScalarTable = {
-    ssd,           ssdSoa,          ssdSoaBatch,   dct4Forward,
-    dct4Inverse,   haarForwardPair, haarInversePair, hardThreshold,
-    wienerApply,   aggregateAdd,    mergeAdd,
+    ssd,           ssdSoa,          ssdSoaBatch,     selectMatches,
+    dct4Forward,   dct4Inverse,     haarForwardPair, haarInversePair,
+    hardThreshold, wienerApply,     aggregateAdd,    mergeAdd,
     ssdSoaI16,     ssdSoaBatchI16,  ssdPairBatchI16, dct4ForwardI16,
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,

@@ -69,6 +69,21 @@ enum class Level {
 const char *toString(Level level);
 
 /**
+ * The best-match list one selectMatches call reads and updates — the
+ * BM engine's 16-entry priority queue MQ (paper Fig. 6). Entries
+ * [0, size) hold ascending distances, equal distances in insertion
+ * order; idx names the candidate's slot in the scanned buffer.
+ */
+struct BestList
+{
+    static constexpr int kCapacity = 16;
+    float dist[kCapacity];
+    int32_t idx[kCapacity];
+    int size;     ///< entries held, in [0, capacity]
+    int capacity; ///< in [1, kCapacity]
+};
+
+/**
  * The set of hot kernels. All pointers are always non-null; the
  * scalar table is the reference semantics every other level must
  * reproduce bitwise.
@@ -102,17 +117,33 @@ struct KernelTable
      * reference descriptor @p ref (len contiguous floats) and the
      * candidate at planes[k][off + i], for i in [0, count); @p count
      * is arbitrary (callers pass whole window-row runs — one dispatch
-     * per run). Candidates are processed in groups of 8 from i = 0
-     * with the partial last group handled per candidate, so results
-     * are independent of how a caller chunks a run as long as chunks
-     * are multiples of 8. Candidates i are adjacent in every
-     * coefficient plane, so each coefficient is one contiguous vector
-     * load. Per candidate the accumulation order is exactly ssdSoa
-     * with bound = +inf, so batch and single-pair results agree
-     * bitwise at every dispatch level.
+     * per run). Candidates i are adjacent in every coefficient plane,
+     * so each coefficient is one contiguous vector load. A run of 8 or
+     * more ends with one vector group overlapping the previous one
+     * (the overlapped tail rule: it reads only candidates inside the
+     * run and rewrites identical values); shorter runs are scored per
+     * candidate. Per candidate the accumulation order is exactly
+     * ssdSoa with bound = +inf, so batch and single-pair results agree
+     * bitwise at every dispatch level however a caller splits a run.
      */
     void (*ssdSoaBatch)(const float *ref, const float *const *planes,
                         size_t off, int len, int count, float *out);
+
+    /**
+     * Block-matching selection over one scored window (the BM
+     * engine's compare-and-insert, paper Fig. 6). For i in [0, count)
+     * in order, with the running cut starting at @p cut (callers pass
+     * min(tau, adaptive bound)):
+     *   - d[i] < cut: insert (d[i], i) into @p list — after entries of
+     *     equal distance; a full list keeps its entries when d[i] is
+     *     not below its last one, else drops the last — then
+     *     cut = min(cut, worst), worst being the last distance of a
+     *     full list and +inf otherwise;
+     *   - else d[i] < @p tau: the candidate counts as pruned.
+     * NaN distances fail both compares. Returns the pruned count.
+     */
+    int (*selectMatches)(const float *d, int count, float tau, float cut,
+                         BestList *list);
 
     /**
      * Full 2-D folded 4x4 DCT forward: row pass, transpose, row pass.
@@ -194,8 +225,9 @@ struct KernelTable
      * Batched SoA int16 SSD: out[i] = the exact (bound-free) ssdSoaI16
      * distance of @p ref against the candidate at planes[k][off + i],
      * for i in [0, count); arbitrary @p count. _mm256_madd_epi16
-     * processes 16 candidates per accumulate — the kernel that
-     * doubles matching throughput over the float path.
+     * processes 16 candidates per accumulate, then 8-candidate blocks
+     * with the same overlapped tail rule as ssdSoaBatch, so window
+     * rows of 8 to 15 candidates stay vectorized.
      */
     void (*ssdSoaBatchI16)(const int16_t *ref,
                            const int16_t *const *planes, size_t off,
@@ -211,7 +243,8 @@ struct KernelTable
      * the gathered descriptor in natural coefficient order (pairs
      * adjacent), @p len the coefficient count (must be even), out[i]
      * the SSD of candidate off + i. Same wrap/exactness contract as
-     * ssdSoaI16.
+     * ssdSoaI16, same block and overlapped-tail shape as
+     * ssdSoaBatchI16.
      */
     void (*ssdPairBatchI16)(const int16_t *ref,
                             const int16_t *const *pair_planes, size_t off,

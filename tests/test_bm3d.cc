@@ -95,6 +95,26 @@ TEST(Bm3dConfig, RejectsInt16WithDiscreteDenoise)
     EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(Bm3dConfig, RejectsInt16WhereTheFusedPathFallsBack)
+{
+    // fixedPoint formats and sharpening send DE1 down the discrete
+    // path, which has no int16 DE1: under Int16 they would silently
+    // run DE1 in float. Float32 keeps both.
+    Bm3dConfig fixed_cfg;
+    fixed_cfg.precision = bm3d::Precision::Int16;
+    fixed_cfg.fixedPoint = fixed::PipelineFormats::forFraction(12);
+    EXPECT_THROW(fixed_cfg.validate(), std::invalid_argument);
+    fixed_cfg.precision = bm3d::Precision::Float32;
+    EXPECT_NO_THROW(fixed_cfg.validate());
+
+    Bm3dConfig sharp_cfg;
+    sharp_cfg.precision = bm3d::Precision::Int16;
+    sharp_cfg.sharpenAlpha = 1.5f;
+    EXPECT_THROW(sharp_cfg.validate(), std::invalid_argument);
+    sharp_cfg.precision = bm3d::Precision::Float32;
+    EXPECT_NO_THROW(sharp_cfg.validate());
+}
+
 TEST(Bm3dConfig, NonPositiveThreadsMeansAuto)
 {
     // 0 and negative thread counts select the hardware thread count

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "bm3d/blockmatch.h"
 #include "bm3d/matchlist.h"
 #include "bm3d/patchfield.h"
 #include "image/noise.h"
 #include "image/synthetic.h"
+#include "simd/simd.h"
 
 using namespace ideal;
 using bm3d::Match;
@@ -334,4 +339,294 @@ TEST_F(BlockMatchTest, TileDctFieldMatchesDirectDctAndTracksCoverage)
                 ASSERT_EQ(cached[k], direct[k])
                     << "(" << x << "," << y << ") k=" << k;
         }
+}
+
+// ---------------------------------------------------------------------
+// The window scan against the per-candidate loop it replaced.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** What one search returns: the list, and the two counts. */
+struct ScanResult
+{
+    MatchList list;
+    uint64_t evaluated = 0;
+    uint64_t pruned = 0;
+};
+
+/**
+ * The matcher's search before the window buffer, written out per
+ * candidate: window rows top-down, each x ascending, the reference
+ * skipped; below the running cut insert and tighten the cut to the
+ * worst kept distance, else below tau count as pruned. Seeds then go
+ * through considerCut: the bounded distance against min(cut, worst),
+ * the seed filters of searchSeeded.
+ */
+template <typename Domain>
+ScanResult
+referenceSearch(const Domain &dom, int xr, int yr, int half, int seed_half,
+                float tau, float bound, int capacity,
+                const std::vector<bm3d::SeedPos> &seeds)
+{
+    ScanResult r;
+    r.list = MatchList(capacity);
+    r.list.insert(Match{xr, yr, 0.0f});
+    float cut = std::min(tau, bound);
+    const int sh = std::min(half, seed_half);
+    const int wx_lo = std::max(0, xr - sh);
+    const int wx_hi = std::min(dom.positionsX() - 1, xr + sh);
+    const int wy_lo = std::max(0, yr - sh);
+    const int wy_hi = std::min(dom.positionsY() - 1, yr + sh);
+    for (int y = wy_lo; y <= wy_hi; ++y) {
+        for (int x = wx_lo; x <= wx_hi; ++x) {
+            if (x == xr && y == yr)
+                continue;
+            const float d = dom.distance(xr, yr, x, y);
+            if (d < cut) {
+                r.list.insert(Match{x, y, d});
+                cut = std::min(cut, r.list.worstDistance());
+            } else if (d < tau) {
+                ++r.pruned;
+            }
+            ++r.evaluated;
+        }
+    }
+    const int x_lo = std::max(0, xr - half);
+    const int x_hi = std::min(dom.positionsX() - 1, xr + half);
+    const int y_lo = std::max(0, yr - half);
+    const int y_hi = std::min(dom.positionsY() - 1, yr + half);
+    for (const bm3d::SeedPos &s : seeds) {
+        const int sx = s.x, sy = s.y;
+        if ((sx == xr && sy == yr) ||
+            (sx >= wx_lo && sx <= wx_hi && sy >= wy_lo && sy <= wy_hi) ||
+            sx < x_lo || sx > x_hi || sy < y_lo || sy > y_hi)
+            continue;
+        const float b = std::min(cut, r.list.worstDistance());
+        const float d = dom.distanceBounded(xr, yr, sx, sy, b);
+        if (d < b) {
+            r.list.insert(Match{sx, sy, d});
+            cut = std::min(cut, r.list.worstDistance());
+        } else if (d < tau) {
+            ++r.pruned;
+        }
+        ++r.evaluated;
+    }
+    return r;
+}
+
+void
+expectSameScan(const ScanResult &want, const MatchList &got,
+               uint64_t evaluated, uint64_t pruned)
+{
+    EXPECT_EQ(evaluated, want.evaluated);
+    EXPECT_EQ(pruned, want.pruned);
+    ASSERT_EQ(got.size(), want.list.size());
+    for (int i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].x, want.list[i].x) << "entry " << i;
+        EXPECT_EQ(got[i].y, want.list[i].y) << "entry " << i;
+        uint32_t a, b;
+        std::memcpy(&a, &got[i].distance, 4);
+        std::memcpy(&b, &want.list[i].distance, 4);
+        EXPECT_EQ(a, b) << "entry " << i << ": " << got[i].distance
+                        << " vs " << want.list[i].distance;
+    }
+}
+
+/** Seeds: the reference, inside the verification window, drifted
+ *  outside the full window, and in between. */
+std::vector<bm3d::SeedPos>
+seedsAround(int xr, int yr, int pos_x, int pos_y)
+{
+    std::vector<bm3d::SeedPos> seeds;
+    const int offsets[][2] = {{0, 0},  {1, 0},   {-5, 3}, {6, -6}, {4, 4},
+                              {-6, 0}, {20, 20}, {3, -5}, {-4, 6}, {5, 5}};
+    for (const auto &o : offsets) {
+        const int x = std::clamp(xr + o[0], 0, pos_x - 1);
+        const int y = std::clamp(yr + o[1], 0, pos_y - 1);
+        seeds.push_back(bm3d::SeedPos{static_cast<uint16_t>(x),
+                                      static_cast<uint16_t>(y)});
+    }
+    return seeds;
+}
+
+/**
+ * Run search() and searchSeeded() at every SIMD level over references
+ * at each border, each corner and inside, windows from 5 (runs under 8)
+ * to 49 (clipped to the field), capacities 1 to 16, and finite and
+ * infinite bounds; each must equal the per-candidate loop.
+ */
+template <typename Domain>
+void
+checkScans(const Domain &dom, const std::vector<std::pair<int, int>> &refs,
+           const std::vector<float> &taus, const char *name)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
+        simd::setLevel(static_cast<simd::Level>(l));
+        for (int window : {5, 13, 49}) {
+            for (int capacity : {1, 2, 4, 8, 16}) {
+                for (float tau : taus) {
+                    const bm3d::BlockMatcher<Domain> matcher(
+                        dom, window, 1, 1, tau, capacity);
+                    for (auto [xr, yr] : refs) {
+                        for (float bound : {inf, tau * 0.5f}) {
+                            SCOPED_TRACE(testing::Message()
+                                         << name << " level=" << l
+                                         << " window=" << window
+                                         << " capacity=" << capacity
+                                         << " tau=" << tau
+                                         << " bound=" << bound << " ref=("
+                                         << xr << "," << yr << ")");
+                            const int half = (window - 1) / 2;
+                            MatchList got;
+                            uint64_t pruned = 0;
+                            uint64_t evaluated = matcher.search(
+                                xr, yr, got, bound, &pruned);
+                            expectSameScan(
+                                referenceSearch(dom, xr, yr, half, half,
+                                                tau, bound, capacity, {}),
+                                got, evaluated, pruned);
+
+                            const auto seeds = seedsAround(
+                                xr, yr, dom.positionsX(), dom.positionsY());
+                            pruned = 0;
+                            evaluated = matcher.searchSeeded(
+                                xr, yr, seeds.data(),
+                                static_cast<int>(seeds.size()), 9, got,
+                                bound, &pruned);
+                            expectSameScan(
+                                referenceSearch(dom, xr, yr, half, 4, tau,
+                                                bound, capacity, seeds),
+                                got, evaluated, pruned);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    simd::setLevel(simd::bestSupported());
+}
+
+/** References at the four corners, the four borders and inside. */
+std::vector<std::pair<int, int>>
+borderRefs(int pos_x, int pos_y)
+{
+    const int mx = pos_x / 2, my = pos_y / 2;
+    return {{0, 0},          {pos_x - 1, 0}, {0, pos_y - 1},
+            {pos_x - 1, pos_y - 1}, {mx, 0}, {0, my},
+            {pos_x - 1, my}, {mx, pos_y - 1}, {mx, my},
+            {3, 5}};
+}
+
+/**
+ * Tmatch values for @p dom around reference @p (xr, yr): a generous
+ * one, and one that is exactly a candidate's distance — that
+ * candidate (and its ties) sits on the acceptance boundary, so for the
+ * int16 domains its raw SSD is the smallest one the old raw-side
+ * threshold rejected — plus the next float above it.
+ */
+template <typename Domain>
+std::vector<float>
+boundaryTaus(const Domain &dom, int xr, int yr)
+{
+    const float on = dom.distance(xr, yr, xr + 2, yr + 1);
+    return {3000.0f, on,
+            std::nextafter(on, std::numeric_limits<float>::infinity())};
+}
+
+} // namespace
+
+TEST_F(BlockMatchTest, WindowScanEqualsPerCandidateLoopFloatDomains)
+{
+    image::ImageF noisy = image::addGaussianNoise(plane_, 25.0f, 31);
+    bm3d::DctPatchField field(noisy, *dct_, 50.0f, std::nullopt, nullptr);
+    bm3d::DctMatchDomain dct_dom(field);
+    checkScans(dct_dom,
+               borderRefs(dct_dom.positionsX(), dct_dom.positionsY()),
+               boundaryTaus(dct_dom, 18, 18), "dct");
+    bm3d::ColorMatchDomain color_dom(noisy, 4);
+    checkScans(color_dom,
+               borderRefs(color_dom.positionsX(), color_dom.positionsY()),
+               boundaryTaus(color_dom, 18, 18), "color");
+}
+
+TEST_F(BlockMatchTest, WindowScanEqualsPerCandidateLoopInt16Domains)
+{
+    image::ImageF noisy = image::addGaussianNoise(plane_, 25.0f, 32);
+    bm3d::DctPatchField field(noisy, *dct_, 50.0f, std::nullopt, nullptr);
+    field.prepareI16();
+    field.fillRowsI16(noisy, *dct_, 50.0f, 0, field.positionsY());
+    bm3d::DctMatchDomainI16 dct_dom(field);
+    checkScans(dct_dom,
+               borderRefs(dct_dom.positionsX(), dct_dom.positionsY()),
+               boundaryTaus(dct_dom, 18, 18), "dct_i16");
+    bm3d::ColorMatchDomainI16 color_dom(noisy, 4);
+    checkScans(color_dom,
+               borderRefs(color_dom.positionsX(), color_dom.positionsY()),
+               boundaryTaus(color_dom, 18, 18), "color_i16");
+}
+
+TEST_F(BlockMatchTest, WindowScanOnFieldNarrowerThanOneVectorGroup)
+{
+    // 10 pixels wide: 7 positions per row, so every row run is
+    // shorter than one 8-candidate group.
+    image::ImageF narrow = image::addGaussianNoise(
+        image::makeScene(image::SceneKind::Street, 10, 30, 1, 33), 25.0f,
+        34);
+    bm3d::DctPatchField field(narrow, *dct_, 50.0f, std::nullopt, nullptr);
+    field.prepareI16();
+    field.fillRowsI16(narrow, *dct_, 50.0f, 0, field.positionsY());
+    ASSERT_LT(field.positionsX(), 8);
+    const std::vector<std::pair<int, int>> refs = {
+        {0, 0}, {6, 0}, {3, 13}, {0, 26}, {6, 26}};
+    bm3d::DctMatchDomain dct_dom(field);
+    checkScans(dct_dom, refs, boundaryTaus(dct_dom, 3, 13), "dct");
+    bm3d::DctMatchDomainI16 dct_i16(field);
+    checkScans(dct_i16, refs, boundaryTaus(dct_i16, 3, 13), "dct_i16");
+    bm3d::ColorMatchDomain color_dom(narrow, 4);
+    checkScans(color_dom, refs, boundaryTaus(color_dom, 3, 13), "color");
+}
+
+TEST_F(BlockMatchTest, WindowScanOnRingField)
+{
+    // Ring storage (DESIGN §15): 24 resident position rows, row y in
+    // slot y % 24. Searches read only rows inside the resident window.
+    image::ImageF noisy = image::addGaussianNoise(plane_, 25.0f, 35);
+    bm3d::DctPatchField ring;
+    ring.prepare(noisy.width(), noisy.height(), *dct_, nullptr, 24);
+    ASSERT_TRUE(ring.banded());
+    ring.fillRows(noisy, *dct_, 50.0f, std::nullopt, 0, 24);
+    bm3d::DctMatchDomain dom(ring);
+    // Window 13 around rows 6..17 stays in resident rows [0, 24).
+    const auto check = [&](int yr) {
+        const bm3d::BlockMatcher<bm3d::DctMatchDomain> matcher(dom, 13, 1,
+                                                              1, 3000.0f,
+                                                              16);
+        for (int l = 0; l <= static_cast<int>(simd::bestSupported());
+             ++l) {
+            simd::setLevel(static_cast<simd::Level>(l));
+            for (int xr : {0, 5, 18, 36}) {
+                SCOPED_TRACE(testing::Message() << "level=" << l << " ref=("
+                                                << xr << "," << yr << ")");
+                MatchList got;
+                uint64_t pruned = 0;
+                const uint64_t evaluated = matcher.search(
+                    xr, yr, got, std::numeric_limits<float>::infinity(),
+                    &pruned);
+                expectSameScan(
+                    referenceSearch(dom, xr, yr, 6, 6, 3000.0f,
+                                    std::numeric_limits<float>::infinity(),
+                                    16, {}),
+                    got, evaluated, pruned);
+            }
+        }
+        simd::setLevel(simd::bestSupported());
+    };
+    check(6);
+    check(11);
+    // Advance the ring: rows 24..36 overwrite the slots of rows 0..12.
+    ring.fillRows(noisy, *dct_, 50.0f, std::nullopt, 24,
+                  ring.positionsY());
+    check(30);
 }

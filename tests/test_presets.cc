@@ -7,6 +7,7 @@
  */
 
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -141,6 +142,25 @@ TEST(Presets, Int16OnlyOnSupportedPatchSize)
     base.patchSize = 4;
     EXPECT_EQ(bm3d::applyPreset(base, ScenePreset::Texture).precision,
               bm3d::Precision::Float32);
+}
+
+TEST(Presets, Int16OnlyWhereTheFusedDe1Runs)
+{
+    // Bases whose DE1 takes the discrete path keep float matching, so
+    // every preset still validates.
+    std::vector<Bm3dConfig> bases(3);
+    bases[0].fixedPoint = fixed::PipelineFormats::forFraction(12);
+    bases[1].sharpenAlpha = 1.5f;
+    bases[2].fusedDenoise = false;
+    for (const Bm3dConfig &base : bases) {
+        for (ScenePreset p : {ScenePreset::Nature, ScenePreset::Street,
+                              ScenePreset::Texture}) {
+            const Bm3dConfig cfg = bm3d::applyPreset(base, p);
+            EXPECT_EQ(cfg.precision, bm3d::Precision::Float32)
+                << bm3d::toString(p);
+            EXPECT_NO_THROW(cfg.validate()) << bm3d::toString(p);
+        }
+    }
 }
 
 TEST(Presets, EndToEndDenoisesWithPickedPreset)

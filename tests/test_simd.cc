@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "bm3d/matchlist.h"
 #include "simd/simd.h"
 #include "transforms/dct.h"
 #include "transforms/distance.h"
@@ -183,6 +185,7 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
         EXPECT_NE(k.aggregateAdd, nullptr);
         EXPECT_NE(k.ssdSoa, nullptr);
         EXPECT_NE(k.ssdSoaBatch, nullptr);
+        EXPECT_NE(k.selectMatches, nullptr);
         EXPECT_NE(k.mergeAdd, nullptr);
         EXPECT_NE(k.ssdSoaI16, nullptr);
         EXPECT_NE(k.ssdSoaBatchI16, nullptr);
@@ -349,10 +352,18 @@ TEST_F(SimdParity, SsdSoaAgreesWithSsdFullOnGatheredDescriptors)
 
 TEST_F(SimdParity, SsdSoaBatchMatchesSsdSoaPerCandidate)
 {
+    // Every run length from 1 to 40: runs under 8 score per candidate,
+    // longer ones end in an overlapped vector group. The planes hold
+    // exactly the run, so a read past it leaves the last plane's
+    // storage (caught under AddressSanitizer).
     Rng rng(1616);
     const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<int> counts;
+    for (int count = 1; count <= 40; ++count)
+        counts.push_back(count);
+    counts.push_back(49);
     for (int len : {9, 16, 33}) {
-        for (int count : {1, 3, 7, 8, 9, 16, 20, 49}) {
+        for (int count : counts) {
             SoaPlanes planes(len, count);
             std::vector<float> ref_desc(len);
             for (int k = 0; k < len; ++k) {
@@ -417,6 +428,131 @@ TEST_F(SimdParity, SsdSoaBatchEqualsSingleCandidateSsdSoa)
                              << "level=" << simd::toString(level)
                              << " len=" << len << " i=" << i);
                 expectBitEqual(single, out[i], "batch vs single", i);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Window-scan selection.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The matcher's window-scan loop before the selection kernel, written
+ * out over a bm3d::MatchList (x = candidate slot): below the running
+ * cut, insert and tighten the cut to the worst kept distance; else
+ * below tau, count as pruned.
+ */
+int
+referenceSelect(const std::vector<float> &d, float tau, float cut,
+                bm3d::MatchList &list)
+{
+    int pruned = 0;
+    for (size_t i = 0; i < d.size(); ++i) {
+        if (d[i] < cut) {
+            list.insert(bm3d::Match{static_cast<int32_t>(i), 0, d[i]});
+            cut = std::min(cut, list.worstDistance());
+        } else if (d[i] < tau) {
+            ++pruned;
+        }
+    }
+    return pruned;
+}
+
+/** Scored-window families: ties, infinities, NaN, signed zeros. */
+std::vector<std::vector<float>>
+selectFamilies(Rng &rng, int count)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<std::vector<float>> families;
+
+    std::vector<float> plain(count);
+    for (float &v : plain)
+        v = rng.uniform(0.0f, 100.0f);
+    families.push_back(plain);
+
+    std::vector<float> ties(count);
+    for (float &v : ties)
+        v = static_cast<float>(static_cast<int>(rng.uniform(0.0f, 4.0f)));
+    families.push_back(ties);
+
+    std::vector<float> special(count);
+    for (float &v : special) {
+        const int pick = static_cast<int>(rng.uniform(0.0f, 6.0f));
+        v = pick == 0   ? inf
+            : pick == 1 ? -inf
+            : pick == 2 ? nan
+            : pick == 3 ? -0.0f
+            : pick == 4 ? 0.0f
+                        : rng.uniform(-10.0f, 60.0f);
+    }
+    families.push_back(special);
+
+    families.emplace_back(count, 7.0f);
+
+    std::vector<float> falling(count);
+    for (int i = 0; i < count; ++i)
+        falling[i] = 1000.0f - static_cast<float>(i);
+    families.push_back(falling);
+
+    return families;
+}
+
+} // namespace
+
+TEST_F(SimdParity, SelectMatchesReproducesTheRunningCutLoop)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(1919);
+    for (int count : {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 168,
+                      401}) {
+        for (const std::vector<float> &d : selectFamilies(rng, count)) {
+            for (int capacity : {1, 2, 4, 8, 16}) {
+                for (float tau : {50.0f, 3.5f, inf}) {
+                    // Bounds below, at and above tau; a cut above tau
+                    // is outside the matcher's use but in the contract.
+                    for (float cut :
+                         {tau, std::min(tau, 20.0f), 7.0f, 0.0f, inf}) {
+                        for (int prefill : {0, 1}) {
+                            bm3d::MatchList want(capacity);
+                            simd::BestList start{};
+                            start.capacity = capacity;
+                            start.size = prefill;
+                            if (prefill == 1) {
+                                want.insert(bm3d::Match{-1, 0, 0.0f});
+                                start.dist[0] = 0.0f;
+                                start.idx[0] = -1;
+                            }
+                            const int want_pruned =
+                                referenceSelect(d, tau, cut, want);
+                            for (simd::Level level : availableLevels()) {
+                                simd::BestList got = start;
+                                const int pruned =
+                                    simd::kernelsFor(level).selectMatches(
+                                        d.data(), count, tau, cut, &got);
+                                SCOPED_TRACE(testing::Message()
+                                             << "level="
+                                             << simd::toString(level)
+                                             << " count=" << count
+                                             << " capacity=" << capacity
+                                             << " tau=" << tau
+                                             << " cut=" << cut
+                                             << " prefill=" << prefill);
+                                EXPECT_EQ(pruned, want_pruned);
+                                ASSERT_EQ(got.size, want.size());
+                                for (int i = 0; i < want.size(); ++i) {
+                                    EXPECT_EQ(got.idx[i], want[i].x)
+                                        << "entry " << i;
+                                    expectBitEqual(want[i].distance,
+                                                   got.dist[i], "dist", i);
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -13,7 +13,7 @@
  *    derived from the Int16DctPlan's Q formats).
  *
  * Plus the end-to-end fig09-style gate: a full denoise run under
- * Config::precision = Int16 at 12 fractional bits must stay within
+ * Config::precision = Int16, int16 DE1 included, must stay within
  * 0.05 dB SNR of the float pipeline.
  */
 
@@ -31,6 +31,7 @@
 #include "image/metrics.h"
 #include "image/noise.h"
 #include "image/synthetic.h"
+#include "obs/metrics.h"
 #include "simd/simd.h"
 #include "tolerance.h"
 #include "transforms/dct.h"
@@ -128,6 +129,21 @@ int16Families(Rng &rng, int len)
 }
 
 const int kLens[] = {1, 3, 7, 8, 15, 16, 17, 24, 33, 64, 100};
+
+/**
+ * Batch-kernel run lengths: every length from 1 to 40 (per-candidate
+ * runs under 8, 8- and 16-candidate blocks, overlapped tails), plus a
+ * long run.
+ */
+std::vector<int>
+runLengths()
+{
+    std::vector<int> counts;
+    for (int count = 1; count <= 40; ++count)
+        counts.push_back(count);
+    counts.push_back(100);
+    return counts;
+}
 
 class SimdInt16 : public ::testing::Test
 {
@@ -241,7 +257,7 @@ TEST_F(SimdInt16, SsdSoaBatchI16MatchesSingleCandidateCalls)
     int16_t ref[16], cand[16];
     for (const auto &ref_family : int16Families(rng, coefs)) {
         std::memcpy(ref, ref_family.data(), sizeof(ref));
-        for (int count : {1, 3, 7, 8, 15, 16, 17, 33, 100}) {
+        for (int count : runLengths()) {
             const size_t off = 11;
             std::vector<int32_t> scalar_out(count);
             simd::kernelsFor(simd::Level::Scalar)
@@ -290,7 +306,7 @@ TEST_F(SimdInt16, SsdPairBatchI16MatchesSoaBatchAcrossLevels)
     int16_t ref[16];
     for (const auto &ref_family : int16Families(rng, coefs)) {
         std::memcpy(ref, ref_family.data(), sizeof(ref));
-        for (int count : {1, 3, 7, 8, 15, 16, 17, 33, 100}) {
+        for (int count : runLengths()) {
             const size_t off = 11;
             // The plain SoA batch kernel is the semantic reference:
             // both layouts must produce identical raw SSDs.
@@ -442,8 +458,8 @@ TEST_F(SimdInt16, HardThresholdI16AlwaysZeroesInt16Min)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end fig09-style gate: |delta SNR| <= 0.05 dB at 12 fractional
-// bits, int16 matching vs float matching.
+// End-to-end fig09-style gate: |delta SNR| <= 0.05 dB, the int16
+// datapath (BM1, BM2 and the fused int16 DE1) vs the float one.
 // ---------------------------------------------------------------------
 
 TEST_F(SimdInt16, DenoiseInt16WithinSnrToleranceOfFloat)
@@ -454,13 +470,17 @@ TEST_F(SimdInt16, DenoiseInt16WithinSnrToleranceOfFloat)
 
     bm3d::Bm3dConfig cfg;
     cfg.sigma = 25.0f;
-    cfg.fixedPoint = fixed::PipelineFormats::forFraction(12);
 
     cfg.precision = bm3d::Precision::Float32;
     const image::ImageF base = bm3d::Bm3d(cfg).denoise(noisy).output;
 
+    // The gate must cover the int16 DE1, which only the fused path has.
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    reg.reset();
     cfg.precision = bm3d::Precision::Int16;
     const image::ImageF quant = bm3d::Bm3d(cfg).denoise(noisy).output;
+    EXPECT_GT(reg.snapshot().value("bm3d.group.fusedStacksI16"), 0.0);
+    reg.reset();
 
     const double delta = snrDeltaDb(clean, base, quant);
     EXPECT_LE(std::abs(delta), 0.05)
