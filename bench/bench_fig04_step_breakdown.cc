@@ -21,25 +21,10 @@ main()
     const auto &cpu = bench::baselines().rate(baseline::Platform::CpuVect);
     const auto &gpu = bench::baselines().rate(baseline::Platform::Gpu);
 
-    // The DCT2 timer runs nested inside DE2's (stage-2 stack DCTs are
-    // gathered inside the denoise step), so subtract it from DE2 for
-    // a partition that sums to 1.
-    auto fractions = [](const baseline::Rate &r) {
-        std::array<double, bm3d::kNumSteps> f = r.stepFraction;
-        int de2 = static_cast<int>(bm3d::Step::De2);
-        int dct2 = static_cast<int>(bm3d::Step::Dct2);
-        f[de2] = std::max(0.0, f[de2] - f[dct2]);
-        double total = 0.0;
-        for (double v : f)
-            total += v;
-        if (total > 0)
-            for (double &v : f)
-                v /= total;
-        return f;
-    };
-
-    auto fc = fractions(cpu);
-    auto fg = fractions(gpu);
+    // No step timer runs inside another, so the measured fractions
+    // already partition the run.
+    const auto &fc = cpu.stepFraction;
+    const auto &fg = gpu.stepFraction;
 
     std::vector<int> widths = {8, 12, 12};
     bench::printRow({"step", "CPU", "GPU"}, widths);

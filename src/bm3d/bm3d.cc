@@ -24,18 +24,21 @@ namespace {
 
 /**
  * Per-executor scratch of the tiled runner: one denoising engine (DCT
- * tables, Haar transforms), one profile, and the across-rows MR state
- * buffer, all reused across every tile the executor runs so the hot
- * path performs no per-tile heap allocation beyond its aggregator.
+ * tables, Haar transforms), one profile, and the match lists of the
+ * tile row in flight, all reused across every tile the executor runs
+ * so the hot path performs no per-tile heap allocation beyond its
+ * aggregator.
  */
 struct WorkerScratch
 {
     Profile profile;
     std::optional<DenoiseEngine> engine;
-    std::vector<MatchList> rowAbove;
-    /// Coarse-to-fine replay state (variant.coarseToFine): pass 1's
-    /// match lists per tile cell, and which cells were searched.
-    std::vector<MatchList> coarseLists;
+    /// Match lists the tile loops search into before the engine
+    /// denoises them (DESIGN §5): the tile row in flight, plus the row
+    /// above under MR's across-rows extension, or the whole tile on
+    /// the coarse-to-fine path.
+    std::vector<MatchList> lists;
+    /// Coarse-to-fine: the cells of `lists` pass 1 searched.
     std::vector<uint8_t> coarseSearched;
 };
 
@@ -173,6 +176,14 @@ searchReference(const Domain &domain, const BlockMatcher<Domain> &matcher,
  * (Sec. 5.3: row granularity keeps MR locality within a worker), cut
  * into tiles so the work-stealing pool can balance load and the search
  * window's working set stays cache-resident.
+ *
+ * Each tile row runs in two phases, as IDEAL's matching engines fill
+ * the match queue its denoising engine drains: every search of the
+ * row writes its list into @p lists, then the engine denoises the
+ * row's lists in order. Denoising never feeds matching and the
+ * aggregation order is the reference order either way, so the phases
+ * change no bit; they give each row one BM and one DE timer instead
+ * of one per reference.
  */
 template <typename Domain>
 void
@@ -181,21 +192,21 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
             const std::vector<int> &xs, const std::vector<int> &ys,
             const parallel::Tile &tile, DenoiseEngine &engine,
             Aggregator &agg, Profile &profile,
-            std::vector<MatchList> &row_above, TemporalSeed *seed)
+            std::vector<MatchList> &lists, TemporalSeed *seed)
 {
     const Step bm_step =
         stage == Stage::HardThreshold ? Step::Bm1 : Step::Bm2;
     const float reuse_bound =
         static_cast<float>(cfg.mr.k) * matcher.tauMatch();
     const float bound_floor = kAdaptiveBoundFloor * matcher.tauMatch();
-    MatchList current;
-    MatchList previous;
+    const int w = tile.width();
 
-    // Across-rows extension state: last tile row's match list per
-    // column of the tile.
+    // Across-rows extension state: the previous tile row's lists. The
+    // two rows swap halves of the buffer at each row end.
     const bool across_rows = cfg.mr.enabled && cfg.mr.acrossRows;
-    if (across_rows)
-        row_above.assign(tile.width(), MatchList(cfg.maxMatches));
+    lists.resize(static_cast<size_t>(across_rows ? 2 : 1) * w);
+    MatchList *row = lists.data();
+    MatchList *row_above = across_rows ? row + w : nullptr;
     bool have_row_above = false;
 
     // Temporal seeding only applies to BM1 over the DCT matching
@@ -212,24 +223,24 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     for (int yi = tile.y0; yi < tile.y1; ++yi) {
         const int y = ys[yi];
         const int y_above = yi > tile.y0 ? ys[yi - 1] : 0;
-        bool have_previous = false;
-        int prev_x = 0;
-        // Adaptive early-termination state (variant.adaptiveBound):
-        // the previous reference's worst kept distance, reset at each
-        // row start like the MR chain.
-        float carry = std::numeric_limits<float>::infinity();
-        for (int xi = tile.x0; xi < tile.x1; ++xi) {
-            const int x = xs[xi];
-            const float bound =
-                adaptiveBoundFrom(cfg.variant, carry, bound_floor);
-            bool hit = false;
-            bool vert_hit = false;
-            bool seed_hit = false;
-            uint64_t candidates = 0;
-            [[maybe_unused]] const size_t ref_idx =
-                static_cast<size_t>(yi) * grid_x + xi;
-            {
-                ScopedTimer timer(profile, bm_step);
+        {
+            ScopedTimer timer(profile, bm_step);
+            // Adaptive early-termination state (variant.adaptiveBound):
+            // the previous reference's worst kept distance, reset at
+            // each row start like the MR chain.
+            float carry = std::numeric_limits<float>::infinity();
+            for (int i = 0; i < w; ++i) {
+                const int xi = tile.x0 + i;
+                const int x = xs[xi];
+                MatchList &current = row[i];
+                const float bound =
+                    adaptiveBoundFrom(cfg.variant, carry, bound_floor);
+                bool hit = false;
+                bool vert_hit = false;
+                bool seed_hit = false;
+                uint64_t candidates = 0;
+                [[maybe_unused]] const size_t ref_idx =
+                    static_cast<size_t>(yi) * grid_x + xi;
                 [[maybe_unused]] float desc_tmp[64];
                 [[maybe_unused]] float *desc = nullptr;
                 if constexpr (kSeedableDomain) {
@@ -245,16 +256,17 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
                         domain.gatherRef(x, y, desc);
                     }
                 }
-                if (cfg.mr.enabled && have_previous) {
+                if (cfg.mr.enabled && i > 0) {
                     // The MR check: is the current reference patch
                     // close enough to the previous one to reuse its
                     // matches? (Sec. 5.1, strictness factor K.)
-                    float d = matcher.referenceDistance(x, y, prev_x, y);
+                    float d =
+                        matcher.referenceDistance(x, y, xs[xi - 1], y);
                     ++candidates;
                     if (d < reuse_bound) {
                         hit = true;
-                        candidates +=
-                            matcher.searchReuse(x, y, previous, current);
+                        candidates += matcher.searchReuse(
+                            x, y, row[i - 1], current);
                     }
                 }
                 if (!hit && across_rows && have_row_above) {
@@ -266,7 +278,7 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
                         hit = true;
                         vert_hit = true;
                         candidates += matcher.searchReuseDown(
-                            x, y, row_above[xi - tile.x0], current);
+                            x, y, row_above[i], current);
                     }
                 }
                 if constexpr (kSeedableDomain) {
@@ -310,41 +322,37 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
                         SeedStore &cs = *seed->current;
                         SeedPos *slot =
                             cs.pos.data() + ref_idx * cs.capacity();
-                        const int n = std::min(
-                            current.size(),
-                            cs.capacity());
-                        for (int i = 0; i < n; ++i) {
-                            slot[i] = SeedPos{
-                                static_cast<uint16_t>(current[i].x),
-                                static_cast<uint16_t>(current[i].y)};
+                        const int n =
+                            std::min(current.size(), cs.capacity());
+                        for (int k = 0; k < n; ++k) {
+                            slot[k] = SeedPos{
+                                static_cast<uint16_t>(current[k].x),
+                                static_cast<uint16_t>(current[k].y)};
                         }
                         cs.count[ref_idx] = static_cast<uint8_t>(n);
                     }
                 }
+                if (stage == Stage::HardThreshold) {
+                    ++mr.bm1Refs;
+                    // Seed hits are counted separately; MR stats keep
+                    // their single-frame (Fig. 10) meaning.
+                    mr.bm1Hits += (hit && !seed_hit) ? 1 : 0;
+                    mr.bm1VertHits += vert_hit ? 1 : 0;
+                    mr.bm1Candidates += candidates;
+                } else {
+                    ++mr.bm2Refs;
+                    mr.bm2Hits += hit ? 1 : 0;
+                    mr.bm2VertHits += vert_hit ? 1 : 0;
+                    mr.bm2Candidates += candidates;
+                }
+                carry = current.worstDistance();
             }
-            if (stage == Stage::HardThreshold) {
-                ++mr.bm1Refs;
-                // Seed hits are counted separately; MR stats keep
-                // their single-frame (Fig. 10) meaning.
-                mr.bm1Hits += (hit && !seed_hit) ? 1 : 0;
-                mr.bm1VertHits += vert_hit ? 1 : 0;
-                mr.bm1Candidates += candidates;
-            } else {
-                ++mr.bm2Refs;
-                mr.bm2Hits += hit ? 1 : 0;
-                mr.bm2VertHits += vert_hit ? 1 : 0;
-                mr.bm2Candidates += candidates;
-            }
-            engine.processStack(current, agg);
-            carry = current.worstDistance();
-            previous = current;
-            have_previous = true;
-            prev_x = x;
-            if (across_rows)
-                row_above[xi - tile.x0] = current;
         }
-        if (across_rows)
+        engine.processRow(row, w, agg);
+        if (across_rows) {
+            std::swap(row, row_above);
             have_row_above = true;
+        }
     }
     profile.mr() += mr;
     profile.adaptive() += av;
@@ -397,8 +405,9 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
  * tile row and column, tile edges always included — and stores the
  * match lists without aggregating anything. The tile's mean stack
  * residual then picks between staying coarse and densifying. Pass 2
- * aggregates strictly in row-major full-grid order, replaying stored
- * lists and searching fine positions on demand, so a densified tile
+ * aggregates strictly in row-major full-grid order, in processTile's
+ * two phases per row (search the row's fine positions on demand next
+ * to the stored lists, then denoise them), so a densified tile
  * reproduces the dense scan's floating-point aggregation tree bit for
  * bit: densifyThreshold <= 0 (densify everything) is bitwise equal to
  * the full-stride output. MR is rejected by validate() for this path;
@@ -437,34 +446,29 @@ processTileCoarse(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     uint64_t refs = 0;
     double residual_sum = 0.0;
     int coarse_count = 0;
-    MatchList current;
 
     // Pass 1: subsampled searches, match lists stored, no aggregation.
     for (int yi = tile.y0; yi < tile.y1;
          yi = nextCoarseIndex(yi, tile.y1, stride)) {
+        ScopedTimer timer(profile, bm_step);
         const int y = ys[yi];
+        const size_t row0 = static_cast<size_t>(yi - tile.y0) * w;
         float carry = std::numeric_limits<float>::infinity();
         for (int xi = tile.x0; xi < tile.x1;
              xi = nextCoarseIndex(xi, tile.x1, stride)) {
-            const int x = xs[xi];
             const size_t ref_idx = static_cast<size_t>(yi) * grid_x + xi;
+            const size_t li = row0 + (xi - tile.x0);
             const float bound =
                 adaptiveBoundFrom(cfg.variant, carry, bound_floor);
             bool seed_hit = false;
-            {
-                ScopedTimer timer(profile, bm_step);
-                candidates += searchReference(
-                    domain, matcher, seed, ref_idx, x, y, bound, current,
-                    av.prunedInserts, seed_refs, seed_hits, seed_hit);
-            }
-            carry = current.worstDistance();
-            const size_t li =
-                static_cast<size_t>(yi - tile.y0) * w + (xi - tile.x0);
-            lists[li] = current;
+            candidates += searchReference(
+                domain, matcher, seed, ref_idx, xs[xi], y, bound, lists[li],
+                av.prunedInserts, seed_refs, seed_hits, seed_hit);
+            carry = lists[li].worstDistance();
             searched[li] = 1;
             ++refs;
             ++coarse_count;
-            residual_sum += stackResidual(current, tau, cfg.maxMatches);
+            residual_sum += stackResidual(lists[li], tau, cfg.maxMatches);
         }
     }
 
@@ -478,49 +482,49 @@ processTileCoarse(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     else
         ++av.tilesCoarse;
 
-    // Pass 2: row-major full-grid replay; fine searches only when the
-    // residual asked for them.
+    // Pass 2, row by row in full-grid order: search the cells pass 1
+    // skipped when the residual asked for them, then denoise the row.
+    // Cells left unsearched hold empty lists, which denoise nothing.
     for (int yi = tile.y0; yi < tile.y1; ++yi) {
         const int y = ys[yi];
-        float carry = std::numeric_limits<float>::infinity();
-        for (int xi = tile.x0; xi < tile.x1; ++xi) {
-            const int x = xs[xi];
-            const size_t ref_idx = static_cast<size_t>(yi) * grid_x + xi;
-            const size_t li =
-                static_cast<size_t>(yi - tile.y0) * w + (xi - tile.x0);
-            if (searched[li]) {
-                current = lists[li];
-            } else if (densify) {
-                const float bound =
-                    adaptiveBoundFrom(cfg.variant, carry, bound_floor);
-                bool seed_hit = false;
-                {
-                    ScopedTimer timer(profile, bm_step);
+        const size_t row0 = static_cast<size_t>(yi - tile.y0) * w;
+        {
+            ScopedTimer timer(profile, bm_step);
+            float carry = std::numeric_limits<float>::infinity();
+            for (int xi = tile.x0; xi < tile.x1; ++xi) {
+                const size_t ref_idx =
+                    static_cast<size_t>(yi) * grid_x + xi;
+                const size_t li = row0 + (xi - tile.x0);
+                if (searched[li]) {
+                    carry = lists[li].worstDistance();
+                } else if (densify) {
+                    const float bound =
+                        adaptiveBoundFrom(cfg.variant, carry, bound_floor);
+                    bool seed_hit = false;
                     candidates += searchReference(
-                        domain, matcher, seed, ref_idx, x, y, bound,
-                        current, av.prunedInserts, seed_refs, seed_hits,
+                        domain, matcher, seed, ref_idx, xs[xi], y, bound,
+                        lists[li], av.prunedInserts, seed_refs, seed_hits,
                         seed_hit);
-                }
-                ++refs;
-            } else {
-                ++av.refsSkipped;
-                if constexpr (kSeedableDomain) {
-                    if (seed != nullptr && seed->current != nullptr) {
-                        SeedStore &cs = *seed->current;
-                        cs.count[ref_idx] = 0;
-                        float *desc =
-                            cs.refDesc.data() +
-                            ref_idx * domain.patchCoefs();
-                        std::fill(
-                            desc, desc + domain.patchCoefs(),
-                            std::numeric_limits<float>::quiet_NaN());
+                    carry = lists[li].worstDistance();
+                    ++refs;
+                } else {
+                    ++av.refsSkipped;
+                    if constexpr (kSeedableDomain) {
+                        if (seed != nullptr && seed->current != nullptr) {
+                            SeedStore &cs = *seed->current;
+                            cs.count[ref_idx] = 0;
+                            float *desc =
+                                cs.refDesc.data() +
+                                ref_idx * domain.patchCoefs();
+                            std::fill(
+                                desc, desc + domain.patchCoefs(),
+                                std::numeric_limits<float>::quiet_NaN());
+                        }
                     }
                 }
-                continue;
             }
-            engine.processStack(current, agg);
-            carry = current.worstDistance();
         }
+        engine.processRow(lists.data() + row0, w, agg);
     }
 
     MrStats mr;
@@ -673,12 +677,12 @@ class StageRunner
                 if (cfg_.variant.coarseToFine) {
                     processTileCoarse(cfg_, stage_, domain_, matcher_,
                                       xs_, ys_, tile, *ws.engine, agg,
-                                      ws.profile, ws.coarseLists,
+                                      ws.profile, ws.lists,
                                       ws.coarseSearched, opts_.seed);
                 } else {
                     processTile(cfg_, stage_, domain_, matcher_, xs_,
                                 ys_, tile, *ws.engine, agg, ws.profile,
-                                ws.rowAbove, opts_.seed);
+                                ws.lists, opts_.seed);
                 }
 
                 std::lock_guard<std::mutex> lock(mergeMutex_);

@@ -39,7 +39,8 @@ enum class Stage {
  * instead) but is bitwise deterministic across SIMD levels and thread
  * counts within Int16. Requires patchSize == 4 and the fused denoise
  * path (fusedDenoise, no fixedPoint, sharpenAlpha 1), the only one with
- * an int16 DE1; temporal match seeding is disabled under Int16.
+ * an int16 DE1. Temporal match seeding seeds the float DCT domain
+ * only, so runtime::StreamConfig::validate() rejects it under Int16.
  */
 enum class Precision {
     Float32, ///< full float matching (the default)

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "fixed/int16plan.h"
-#include "obs/trace.h"
 #include "runtime/arena.h"
 #include "simd/simd.h"
 
@@ -352,10 +351,9 @@ DenoiseEngine::shrinkVector(float *vec, const float *wiener_ref,
 }
 
 void
-DenoiseEngine::chargeStackOps(Step de_step, uint64_t forward_dcts,
-                              int stack_size)
+DenoiseEngine::chargeStackOps(uint64_t forward_dcts, int stack_size)
 {
-    OpCounters ops;
+    OpCounters &ops = rowOps_;
     const uint64_t chans = noisy_.channels();
     const uint64_t n = config_.patchSize;
     const uint64_t pp = n * n;
@@ -363,13 +361,12 @@ DenoiseEngine::chargeStackOps(Step de_step, uint64_t forward_dcts,
     // Forward-DCT gathers: only the transforms actually executed —
     // stack members served by the Path-C field or a transform-once
     // tile cache cost a coefficient copy, not a DCT. The Wiener
-    // stage's gathers run (and are charged) under DCT2; stage 1's
-    // belong to DE1.
+    // stage charges those DCTs to DCT2 (the gathers themselves are
+    // timed with the rest of the row under DE2); stage 1's belong to
+    // DE1.
     if (stage_ == Stage::Wiener) {
-        OpCounters fwd;
-        fwd.multiplies += forward_dcts * 2 * n * n * n;
-        fwd.additions += forward_dcts * 2 * n * n * (n - 1);
-        profile_->addOps(Step::Dct2, fwd);
+        rowDctOps_.multiplies += forward_dcts * 2 * n * n * n;
+        rowDctOps_.additions += forward_dcts * 2 * n * n * (n - 1);
     } else {
         ops.multiplies += forward_dcts * 2 * n * n * n;
         ops.additions += forward_dcts * 2 * n * n * (n - 1);
@@ -387,11 +384,29 @@ DenoiseEngine::chargeStackOps(Step de_step, uint64_t forward_dcts,
     ops.additions += chans * s * 2 * n * n * (n - 1) + chans * s * pp;
     ops.memoryReads += chans * s * pp * 2;
     ops.memoryWrites += chans * s * pp * 2;
-    profile_->addOps(de_step, ops);
 }
 
 void
-DenoiseEngine::processStack(const MatchList &matches, Aggregator &agg)
+DenoiseEngine::processRow(const MatchList *lists, int count,
+                          Aggregator &agg)
+{
+    const Step de_step =
+        stage_ == Stage::HardThreshold ? Step::De1 : Step::De2;
+    std::optional<ScopedTimer> timer;
+    if (profile_)
+        timer.emplace(*profile_, de_step);
+    for (int i = 0; i < count; ++i)
+        denoiseStack(lists[i], agg);
+    if (profile_) {
+        profile_->addOps(de_step, rowOps_);
+        profile_->addOps(Step::Dct2, rowDctOps_);
+    }
+    rowOps_ = OpCounters{};
+    rowDctOps_ = OpCounters{};
+}
+
+void
+DenoiseEngine::denoiseStack(const MatchList &matches, Aggregator &agg)
 {
     const int stack_size = matches.stackSize();
     if (stack_size == 0)
@@ -403,11 +418,6 @@ DenoiseEngine::processStack(const MatchList &matches, Aggregator &agg)
     ++groupStats_.legacyStacks;
     const int p = config_.patchSize;
     const int pp = p * p;
-    const Step de_step =
-        stage_ == Stage::HardThreshold ? Step::De1 : Step::De2;
-    std::optional<ScopedTimer> de_timer;
-    if (profile_)
-        de_timer.emplace(*profile_, de_step);
 
     const transforms::Haar1D *haar =
         stack_size >= 2 ? &haars_[log2OfPow2(stack_size) - 1] : nullptr;
@@ -429,23 +439,12 @@ DenoiseEngine::processStack(const MatchList &matches, Aggregator &agg)
         const TileDctField *btile =
             tilesValid_ && stage_ == Stage::Wiener ? &basicTiles_[c]
                                                    : nullptr;
-        if (stage_ == Stage::Wiener && profile_) {
-            ScopedTimer dct_timer(*profile_, Step::Dct2);
-            forward_dcts +=
-                gatherStack(noisy_, matches, stack_size, c, false, ntile,
-                            &noisy_coefs[0][0], kMaxCoefs);
+        forward_dcts += gatherStack(noisy_, matches, stack_size, c, reuse,
+                                    ntile, &noisy_coefs[0][0], kMaxCoefs);
+        if (stage_ == Stage::Wiener)
             forward_dcts +=
                 gatherStack(*basic_, matches, stack_size, c, false, btile,
                             &basic_coefs[0][0], kMaxCoefs);
-        } else {
-            forward_dcts +=
-                gatherStack(noisy_, matches, stack_size, c, reuse, ntile,
-                            &noisy_coefs[0][0], kMaxCoefs);
-            if (stage_ == Stage::Wiener)
-                forward_dcts +=
-                    gatherStack(*basic_, matches, stack_size, c, false,
-                                btile, &basic_coefs[0][0], kMaxCoefs);
-        }
 
         ShrinkStats total;
         if (!config_.fixedPoint) {
@@ -618,8 +617,7 @@ DenoiseEngine::processStack(const MatchList &matches, Aggregator &agg)
         }
     }
 
-    if (profile_)
-        chargeStackOps(de_step, forward_dcts, stack_size);
+    chargeStackOps(forward_dcts, stack_size);
 }
 
 void
@@ -627,12 +625,6 @@ DenoiseEngine::processStackFused(const MatchList &matches, Aggregator &agg)
 {
     const int stack_size = matches.stackSize();
     const int pp = 16; // fusedEligible_ implies patchSize == 4
-    const Step de_step =
-        stage_ == Stage::HardThreshold ? Step::De1 : Step::De2;
-    std::optional<ScopedTimer> de_timer;
-    if (profile_)
-        de_timer.emplace(*profile_, de_step);
-    obs::StepSpan span("de.fused");
 
     const simd::KernelTable &kt = simd::kernels();
     const float *inv_even = dct_.invEvenHalf();
@@ -661,17 +653,10 @@ DenoiseEngine::processStackFused(const MatchList &matches, Aggregator &agg)
         if (stage_ == Stage::Wiener) {
             const TileDctField *btile =
                 tilesValid_ ? &basicTiles_[c] : nullptr;
-            {
-                std::optional<ScopedTimer> dct_timer;
-                if (profile_)
-                    dct_timer.emplace(*profile_, Step::Dct2);
-                forward_dcts +=
-                    gatherStack(noisy_, matches, stack_size, c, false,
-                                ntile, gNoisy_, pp);
-                forward_dcts +=
-                    gatherStack(*basic_, matches, stack_size, c, false,
-                                btile, gBasic_, pp);
-            }
+            forward_dcts += gatherStack(noisy_, matches, stack_size, c,
+                                        false, ntile, gNoisy_, pp);
+            forward_dcts += gatherStack(*basic_, matches, stack_size, c,
+                                        false, btile, gBasic_, pp);
             const float s2 = config_.sigma * config_.sigma;
             const int strong = kt.wienerShrinkFused(
                 gNoisy_, gBasic_, wTile_, stack_size, pp, s2);
@@ -718,8 +703,7 @@ DenoiseEngine::processStackFused(const MatchList &matches, Aggregator &agg)
         static_cast<uint64_t>(stack_size) * noisy_.channels();
     if (i16)
         ++groupStats_.fusedStacksI16;
-    if (profile_)
-        chargeStackOps(de_step, forward_dcts, stack_size);
+    chargeStackOps(forward_dcts, stack_size);
 }
 
 } // namespace bm3d

@@ -127,8 +127,9 @@ class Aggregator
 };
 
 /**
- * Denoising engine for one stage. Processes one 3-D stack at a time;
- * the caller supplies the match list produced by block matching.
+ * Denoising engine for one stage. Denoises 3-D stacks from the match
+ * lists block matching produced, one tile row of lists per call in the
+ * tiled runner.
  */
 class DenoiseEngine
 {
@@ -140,7 +141,7 @@ class DenoiseEngine
      * @param basic    stage-1 estimate; required for the Wiener stage
      * @param dctField stage-1 channel-0 DCT field (Path C); may be
      *                 null for the Wiener stage
-     * @param profile  optional profile for DCT2/DE timing + op counts
+     * @param profile  optional profile for DE/DCT2 timing + op counts
      * @param arena    optional buffer arena the transform-once tile
      *                 caches recycle their storage through
      */
@@ -156,10 +157,20 @@ class DenoiseEngine
     ~DenoiseEngine();
 
     /**
-     * Denoise the stack described by @p matches and accumulate the
-     * restored patches into @p agg.
+     * Denoise the @p count stacks described by @p lists in order and
+     * accumulate the restored patches into @p agg: the second phase of
+     * a tile row (DESIGN §5). The row is timed under DE1/DE2 as a
+     * whole — the Wiener gathers included — and its op counts are
+     * charged once. Empty lists denoise nothing.
      */
-    void processStack(const MatchList &matches, Aggregator &agg);
+    void processRow(const MatchList *lists, int count, Aggregator &agg);
+
+    /** processRow over the one stack described by @p matches. */
+    void
+    processStack(const MatchList &matches, Aggregator &agg)
+    {
+        processRow(&matches, 1, agg);
+    }
 
     /**
      * Group-major fused datapath traffic (DESIGN §12), accumulated
@@ -209,6 +220,9 @@ class DenoiseEngine
                          const TileDctField *tile, float *coefs,
                          int stride);
 
+    /** Denoise one stack; the op charge accrues to rowOps_. */
+    void denoiseStack(const MatchList &matches, Aggregator &agg);
+
     /**
      * Group-major fused datapath (DESIGN §12): gather the matched
      * patches' DCT coefficients into the contiguous group tile, run
@@ -226,9 +240,9 @@ class DenoiseEngine
     /** Op accounting shared by the fused and discrete paths — the
         charges are formula-based and identical by construction, which
         is what keeps bench_diff --ops-tolerance 0 meaningful across
-        the Float32 fusedDenoise knob. */
-    void chargeStackOps(Step de_step, uint64_t forward_dcts,
-                        int stack_size);
+        the Float32 fusedDenoise knob. Accrues to rowOps_/rowDctOps_
+        until processRow charges the row. */
+    void chargeStackOps(uint64_t forward_dcts, int stack_size);
 
     /** Shrink one z-vector in place; returns per-vector stats. */
     struct ShrinkStats
@@ -246,6 +260,11 @@ class DenoiseEngine
     const DctPatchField *dctField_;
     Profile *profile_;
     runtime::BufferArena *arena_;
+
+    /// Op counts of the row in flight: DE1/DE2, and the forward DCTs
+    /// of Wiener gathers no cache served (charged to DCT2).
+    OpCounters rowOps_;
+    OpCounters rowDctOps_;
 
     transforms::Dct2D dct_;
     std::vector<transforms::Haar1D> haars_; ///< sizes 2, 4, 8, 16

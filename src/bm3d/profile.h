@@ -26,8 +26,8 @@ enum class Step : int {
     Bm1,      ///< block matching, hard-thresholding stage
     De1,      ///< denoising (hard threshold filter)
     Bm2,      ///< block matching, Wiener stage
-    Dct2,     ///< DCT work for stage 2
-    De2,      ///< denoising (Wiener filter)
+    Dct2,     ///< stage-2 transform-once tile-cache builds
+    De2,      ///< denoising (Wiener filter), gathers included
     Count,
 };
 
@@ -206,8 +206,8 @@ class Profile
      * <prefix>.<STEP>.ops.<class>, <prefix>.mr.<counter> — everything
      * a counter (profiles sum when workers merge). Profile itself
      * stays array-backed: it is per-worker hot-path state, updated
-     * once per reference patch; the adapter boundary to the registry
-     * is this snapshot.
+     * once per tile row; the adapter boundary to the registry is this
+     * snapshot.
      */
     obs::MetricsSnapshot snapshot(const std::string &prefix = "bm3d") const;
 
@@ -223,10 +223,14 @@ class Profile
  *
  * Doubles as the six paper steps' trace instrumentation: under
  * IDEAL_TRACE + IDEAL_TRACE_STEPS=1 each timer also emits a "step"
- * category span named after the step (DCT1..DE2). The timers fire per
- * reference patch, so step spans multiply trace size by the
- * reference count — that is why the category is opt-in; when tracing
- * is off the span member costs one relaxed load.
+ * category span named after the step (DCT1..DE2). The BM3D tile loops
+ * time each tile row once under BM and once under DE (DESIGN §5), and
+ * the DCT steps once per field or tile-cache build, so their timers
+ * never nest and the step seconds of a one-thread Bm3d::denoise sum
+ * to at most its wall time (V-BM3D, src/bm3d/video.cc, still times
+ * per reference). Step spans multiply trace size by the number of
+ * tile rows — that is why the category is opt-in; when tracing is off
+ * the span member costs one relaxed load.
  */
 class ScopedTimer
 {

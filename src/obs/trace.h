@@ -15,10 +15,10 @@
  *
  * Span taxonomy (DESIGN.md §8): coarse spans — pipeline stages,
  * pool tiles, simulator stages — are always emitted when tracing is
- * on. The per-reference-patch *step* category (DCT1..DE2 via
- * bm3d::ScopedTimer) multiplies event counts by the reference-patch
- * count, so it additionally requires IDEAL_TRACE_STEPS=1; use it on
- * small images.
+ * on. The *step* category (DCT1..DE2 via bm3d::ScopedTimer, once per
+ * tile row in the BM3D tile loops and per reference patch in V-BM3D)
+ * multiplies event counts by the row or reference count, so it
+ * additionally requires IDEAL_TRACE_STEPS=1; use it on small images.
  *
  * Threading: events append to per-thread buffers (one uncontended
  * mutex each), merged at flush. name/cat/argKey must be string

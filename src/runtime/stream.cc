@@ -23,6 +23,11 @@ StreamConfig::validate() const
     if (queueDepth < 1)
         throw std::invalid_argument("StreamConfig: queueDepth must be >= 1");
     if (temporalSeed) {
+        // The int16 matching domain has no seeded search: such a
+        // stream would keep seed stores per frame and never read them.
+        if (frame.precision == bm3d::Precision::Int16)
+            throw std::invalid_argument(
+                "StreamConfig: temporalSeed requires Float32 precision");
         if (seedK <= 0.0 || seedK > 1.0)
             throw std::invalid_argument(
                 "StreamConfig: seedK must be in (0, 1]");

@@ -59,7 +59,8 @@ struct StreamConfig
     /// Seed frame t's BM1 with frame t-1's match lists. Changes which
     /// candidates BM1 scores (quality-neutral within ~0.05 dB on
     /// static content); off keeps streamed output bitwise equal to
-    /// the per-frame batch path.
+    /// the per-frame batch path. Only the float DCT matching domain
+    /// seeds, so validate() rejects it under Precision::Int16.
     bool temporalSeed = false;
 
     /// Strictness of the temporal reuse check, as a fraction of

@@ -2,8 +2,8 @@
  * @file
  * AVX2 kernels (256-bit). The 8 canonical SSD lanes live in a single
  * __m256 whose extract/add/movehl fold is exactly the canonical tree;
- * the inverse 4x4 DCT pass processes two rows per register, the
- * forward pass one row per 128-bit register. Compiled with
+ * both 4x4 DCT passes keep one patch row per 128-bit register, with
+ * the transpose in registers. Compiled with
  * -mavx2 -ffp-contract=off (and no -mfma); bitwise parity with the
  * scalar table is enforced by tests/test_simd.cc.
  */
@@ -15,8 +15,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 namespace ideal {
 namespace simd {
@@ -291,53 +293,20 @@ selectMatches(const float *d, int count, float tau, float cut,
     return pruned;
 }
 
-/** [coef_lo broadcast | coef_hi broadcast] */
-inline __m256
-pair(float lo, float hi)
+/** The 2x2 half matrices of the folded 4x4 DCT, each entry broadcast. */
+struct Dct4Halves
 {
-    return _mm256_set_m128(_mm_set1_ps(hi), _mm_set1_ps(lo));
-}
+    __m128 e[4];
+    __m128 o[4];
 
-inline void
-dct4PassInv(const float *in, float *out, const float *even,
-            const float *odd)
-{
-    // E = [e(i=0)|e(i=1)], O likewise; lo rows = E+O = [out0|out1],
-    // hi rows = E-O = [out3|out2].
-    const __m256 r0 = _mm256_broadcast_ps(
-        reinterpret_cast<const __m128 *>(in));
-    const __m256 r1 = _mm256_broadcast_ps(
-        reinterpret_cast<const __m128 *>(in + 4));
-    const __m256 r2 = _mm256_broadcast_ps(
-        reinterpret_cast<const __m128 *>(in + 8));
-    const __m256 r3 = _mm256_broadcast_ps(
-        reinterpret_cast<const __m128 *>(in + 12));
-    const __m256 e =
-        _mm256_add_ps(_mm256_mul_ps(pair(even[0], even[2]), r0),
-                      _mm256_mul_ps(pair(even[1], even[3]), r2));
-    const __m256 o =
-        _mm256_add_ps(_mm256_mul_ps(pair(odd[0], odd[2]), r1),
-                      _mm256_mul_ps(pair(odd[1], odd[3]), r3));
-    const __m256 lo = _mm256_add_ps(e, o);
-    const __m256 hi = _mm256_sub_ps(e, o);
-    _mm256_storeu_ps(out, lo);
-    _mm_storeu_ps(out + 12, _mm256_castps256_ps128(hi));
-    _mm_storeu_ps(out + 8, _mm256_extractf128_ps(hi, 1));
-}
-
-inline void
-transpose4(const float *in, float *out)
-{
-    __m128 r0 = _mm_loadu_ps(in);
-    __m128 r1 = _mm_loadu_ps(in + 4);
-    __m128 r2 = _mm_loadu_ps(in + 8);
-    __m128 r3 = _mm_loadu_ps(in + 12);
-    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-    _mm_storeu_ps(out, r0);
-    _mm_storeu_ps(out + 4, r1);
-    _mm_storeu_ps(out + 8, r2);
-    _mm_storeu_ps(out + 12, r3);
-}
+    Dct4Halves(const float *even, const float *odd)
+    {
+        for (int k = 0; k < 4; ++k) {
+            e[k] = _mm_set1_ps(even[k]);
+            o[k] = _mm_set1_ps(odd[k]);
+        }
+    }
+};
 
 /**
  * Forward row pass on four 128-bit rows: mirror sums/differences, then
@@ -345,48 +314,74 @@ transpose4(const float *in, float *out)
  * per-lane expressions, with no cross-lane fold.
  */
 inline void
-dct4Pass(__m128 &r0, __m128 &r1, __m128 &r2, __m128 &r3, const __m128 e[4],
-         const __m128 o[4])
+dct4Pass(__m128 *r, const Dct4Halves &h)
 {
-    const __m128 s0 = _mm_add_ps(r0, r3);
-    const __m128 s1 = _mm_add_ps(r1, r2);
-    const __m128 d0 = _mm_sub_ps(r0, r3);
-    const __m128 d1 = _mm_sub_ps(r1, r2);
-    r0 = _mm_add_ps(_mm_mul_ps(e[0], s0), _mm_mul_ps(e[1], s1));
-    r1 = _mm_add_ps(_mm_mul_ps(o[0], d0), _mm_mul_ps(o[1], d1));
-    r2 = _mm_add_ps(_mm_mul_ps(e[2], s0), _mm_mul_ps(e[3], s1));
-    r3 = _mm_add_ps(_mm_mul_ps(o[2], d0), _mm_mul_ps(o[3], d1));
+    const __m128 s0 = _mm_add_ps(r[0], r[3]);
+    const __m128 s1 = _mm_add_ps(r[1], r[2]);
+    const __m128 d0 = _mm_sub_ps(r[0], r[3]);
+    const __m128 d1 = _mm_sub_ps(r[1], r[2]);
+    r[0] = _mm_add_ps(_mm_mul_ps(h.e[0], s0), _mm_mul_ps(h.e[1], s1));
+    r[1] = _mm_add_ps(_mm_mul_ps(h.o[0], d0), _mm_mul_ps(h.o[1], d1));
+    r[2] = _mm_add_ps(_mm_mul_ps(h.e[2], s0), _mm_mul_ps(h.e[3], s1));
+    r[3] = _mm_add_ps(_mm_mul_ps(h.o[2], d0), _mm_mul_ps(h.o[3], d1));
+}
+
+/**
+ * Inverse row pass on four 128-bit rows: each mirror pair's even and
+ * odd halves as two broadcast products, then their sum (rows 0, 1)
+ * and difference (rows 3, 2) — the scalar reference's expressions.
+ */
+inline void
+dct4PassInverse(__m128 *r, const Dct4Halves &h)
+{
+    const __m128 e0 =
+        _mm_add_ps(_mm_mul_ps(h.e[0], r[0]), _mm_mul_ps(h.e[1], r[2]));
+    const __m128 e1 =
+        _mm_add_ps(_mm_mul_ps(h.e[2], r[0]), _mm_mul_ps(h.e[3], r[2]));
+    const __m128 o0 =
+        _mm_add_ps(_mm_mul_ps(h.o[0], r[1]), _mm_mul_ps(h.o[1], r[3]));
+    const __m128 o1 =
+        _mm_add_ps(_mm_mul_ps(h.o[2], r[1]), _mm_mul_ps(h.o[3], r[3]));
+    r[0] = _mm_add_ps(e0, o0);
+    r[1] = _mm_add_ps(e1, o1);
+    r[2] = _mm_sub_ps(e1, o1);
+    r[3] = _mm_sub_ps(e0, o0);
+}
+
+/** 2-D inverse of the 16 coefficients at @p in into four pixel rows. */
+inline void
+dct4InverseRows(const float *in, const Dct4Halves &h, __m128 *r)
+{
+    for (int k = 0; k < 4; ++k)
+        r[k] = _mm_loadu_ps(in + 4 * k);
+    dct4PassInverse(r, h);
+    _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]);
+    dct4PassInverse(r, h);
 }
 
 void
 dct4Forward(const float *in, float *out, const float *fwd_even,
             const float *fwd_odd)
 {
-    const __m128 e[4] = {_mm_set1_ps(fwd_even[0]), _mm_set1_ps(fwd_even[1]),
-                         _mm_set1_ps(fwd_even[2]), _mm_set1_ps(fwd_even[3])};
-    const __m128 o[4] = {_mm_set1_ps(fwd_odd[0]), _mm_set1_ps(fwd_odd[1]),
-                         _mm_set1_ps(fwd_odd[2]), _mm_set1_ps(fwd_odd[3])};
-    __m128 r0 = _mm_loadu_ps(in);
-    __m128 r1 = _mm_loadu_ps(in + 4);
-    __m128 r2 = _mm_loadu_ps(in + 8);
-    __m128 r3 = _mm_loadu_ps(in + 12);
-    dct4Pass(r0, r1, r2, r3, e, o);
-    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-    dct4Pass(r0, r1, r2, r3, e, o);
-    _mm_storeu_ps(out, r0);
-    _mm_storeu_ps(out + 4, r1);
-    _mm_storeu_ps(out + 8, r2);
-    _mm_storeu_ps(out + 12, r3);
+    const Dct4Halves h(fwd_even, fwd_odd);
+    __m128 r[4];
+    for (int k = 0; k < 4; ++k)
+        r[k] = _mm_loadu_ps(in + 4 * k);
+    dct4Pass(r, h);
+    _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]);
+    dct4Pass(r, h);
+    for (int k = 0; k < 4; ++k)
+        _mm_storeu_ps(out + 4 * k, r[k]);
 }
 
 void
 dct4Inverse(const float *in, float *out, const float *inv_even,
             const float *inv_odd)
 {
-    float t1[16], t2[16];
-    dct4PassInv(in, t1, inv_even, inv_odd);
-    transpose4(t1, t2);
-    dct4PassInv(t2, out, inv_even, inv_odd);
+    __m128 r[4];
+    dct4InverseRows(in, Dct4Halves(inv_even, inv_odd), r);
+    for (int k = 0; k < 4; ++k)
+        _mm_storeu_ps(out + 4 * k, r[k]);
 }
 
 void
@@ -869,193 +864,224 @@ hardThresholdI16(int16_t *v, int count, int16_t threshold)
 
 // ---- fused group-major denoise kernels (DESIGN §12) --------------
 //
-// 8 coefficient lanes per __m256 step (16 int16 lanes), replaying the
-// exact scalar butterfly schedule down the stack rows; every operation
-// is lane-vertical with the same per-element expressions as the scalar
-// TU, so the results match the scalar fused kernels bitwise. Scalar
-// lane tails repeat the reference loops verbatim.
+// A group tile runs in column groups of 8 float (16 int16) lanes. The
+// stack rows of a group ride in registers, one vector per row, and the
+// Haar butterfly schedule is unrolled at compile time for each depth
+// the KernelTable allows (the powers of two up to 16): no loop runs to
+// a runtime stack length, and the rows stay in registers from load to
+// store (a 16-deep group and its constants need a few more than the 16
+// ymm registers, so the compiler spills those). Every operation is
+// lane-vertical with the same per-element expressions as the scalar
+// TU, so the results match the scalar kernels bitwise. The last group
+// of a width that is not a multiple of the group runs the same code on
+// a zero-padded copy, its padding lanes masked out of the counts.
 
-/** Scalar-lane tail of haarShrinkFused (same body as the scalar TU). */
+/** Float butterfly: (a + b) * 1/sqrt(2) and (a - b) * 1/sqrt(2). */
+struct HaarF32
+{
+    __m256 f = _mm256_set1_ps(1.0f / std::sqrt(2.0f));
+
+    __m256
+    sum(__m256 a, __m256 b) const
+    {
+        return _mm256_mul_ps(_mm256_add_ps(a, b), f);
+    }
+
+    __m256
+    diff(__m256 a, __m256 b) const
+    {
+        return _mm256_mul_ps(_mm256_sub_ps(a, b), f);
+    }
+};
+
+/** Int16 butterfly: mulhrs(adds(a, b), f) and mulhrs(subs(a, b), f). */
+struct HaarI16
+{
+    __m256i f;
+
+    __m256i
+    sum(__m256i a, __m256i b) const
+    {
+        return _mm256_mulhrs_epi16(_mm256_adds_epi16(a, b), f);
+    }
+
+    __m256i
+    diff(__m256i a, __m256i b) const
+    {
+        return _mm256_mulhrs_epi16(_mm256_subs_epi16(a, b), f);
+    }
+};
+
+/**
+ * Forward Haar across the first @p Len rows of @p buf in the
+ * Haar1D::forwardRows schedule: each level writes its details to
+ * dom[half + i] and its approximations to the front of buf, and the
+ * last approximation lands in dom[0].
+ */
+template <int Len, typename V, typename B>
+inline void
+haarForwardRegs(V *buf, V *dom, const B &bf)
+{
+    if constexpr (Len == 1) {
+        dom[0] = buf[0];
+    } else {
+        constexpr int half = Len / 2;
+        for (int i = 0; i < half; ++i) {
+            const V e = buf[2 * i];
+            const V o = buf[2 * i + 1];
+            dom[half + i] = bf.diff(e, o);
+            buf[i] = bf.sum(e, o);
+        }
+        haarForwardRegs<half>(buf, dom, bf);
+    }
+}
+
+/**
+ * Inverse Haar of @p dom into the @p S rows of @p buf, doubling the
+ * rebuilt length from @p Len; each level writes its rows back to
+ * front, so it works in place.
+ */
+template <int S, int Len = 1, typename V, typename B>
+inline void
+haarInverseRegs(V *buf, const V *dom, const B &bf)
+{
+    if constexpr (Len == 1)
+        buf[0] = dom[0];
+    if constexpr (Len < S) {
+        for (int i = Len - 1; i >= 0; --i) {
+            const V a = buf[i];
+            const V d = dom[Len + i];
+            buf[2 * i] = bf.sum(a, d);
+            buf[2 * i + 1] = bf.diff(a, d);
+        }
+        haarInverseRegs<S, 2 * Len>(buf, dom, bf);
+    }
+}
+
+/**
+ * Call @p f with std::integral_constant<int, stack>: the fused kernels
+ * take a power-of-two stack of at most 16 (simd.h), one unrolled
+ * instance per depth.
+ */
+template <typename F>
 inline int
-haarShrinkLaneTail(float *lane, int stack, int stride, float threshold)
+withDepth(int stack, const F &f)
 {
-    const float factor = 1.0f / std::sqrt(2.0f);
-    float buf[16];
-    float dom[16];
-    for (int i = 0; i < stack; ++i)
-        buf[i] = lane[static_cast<size_t>(i) * stride];
-    int len = stack;
-    while (len > 1) {
-        const int half = len / 2;
-        for (int i = 0; i < half; ++i) {
-            const float e = buf[2 * i];
-            const float o = buf[2 * i + 1];
-            dom[half + i] = (e - o) * factor;
-            buf[i] = (e + o) * factor;
-        }
-        len = half;
+    switch (stack) {
+      case 1: return f(std::integral_constant<int, 1>{});
+      case 2: return f(std::integral_constant<int, 2>{});
+      case 4: return f(std::integral_constant<int, 4>{});
+      case 8: return f(std::integral_constant<int, 8>{});
+      default:
+        assert(stack == 16);
+        return f(std::integral_constant<int, 16>{});
     }
-    dom[0] = buf[0];
+}
+
+/**
+ * Copy @p n lanes of each of @p rows tile rows between row strides
+ * (the partial last column group in and out of its padded copy).
+ */
+template <typename T>
+inline void
+copyLanes(const T *src, int src_stride, T *dst, int dst_stride, int rows,
+          int n)
+{
+    for (int i = 0; i < rows; ++i)
+        std::copy(src + static_cast<size_t>(i) * src_stride,
+                  src + static_cast<size_t>(i) * src_stride + n,
+                  dst + static_cast<size_t>(i) * dst_stride);
+}
+
+/**
+ * haarShrinkFused on one 8-lane column group at row stride @p stride;
+ * @p lanes masks the lanes that count towards the kept total.
+ */
+template <int S>
+inline int
+haarShrinkGroup(float *g, int stride, const HaarF32 &bf, __m256 thr,
+                unsigned lanes)
+{
+    const __m256 abs_mask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    __m256 buf[S];
+    __m256 dom[S];
+    for (int i = 0; i < S; ++i)
+        buf[i] = _mm256_loadu_ps(g + static_cast<size_t>(i) * stride);
+    haarForwardRegs<S>(buf, dom, bf);
     int kept = 0;
-    for (int i = 0; i < stack; ++i) {
-        if (std::fabs(dom[i]) < threshold)
-            dom[i] = 0.0f;
-        else
-            ++kept;
+    for (int i = 0; i < S; ++i) {
+        const __m256 below = _mm256_cmp_ps(_mm256_and_ps(dom[i], abs_mask),
+                                           thr, _CMP_LT_OQ);
+        dom[i] = _mm256_andnot_ps(below, dom[i]);
+        kept += _mm_popcnt_u32(
+            ~static_cast<unsigned>(_mm256_movemask_ps(below)) & lanes);
     }
-    buf[0] = dom[0];
-    len = 1;
-    while (len < stack) {
-        float tmp[16];
-        for (int i = 0; i < len; ++i) {
-            const float a = buf[i];
-            const float d = dom[len + i];
-            tmp[2 * i] = (a + d) * factor;
-            tmp[2 * i + 1] = (a - d) * factor;
-        }
-        len *= 2;
-        for (int i = 0; i < len; ++i)
-            buf[i] = tmp[i];
-    }
-    for (int i = 0; i < stack; ++i)
-        lane[static_cast<size_t>(i) * stride] = buf[i];
+    haarInverseRegs<S>(buf, dom, bf);
+    for (int i = 0; i < S; ++i)
+        _mm256_storeu_ps(g + static_cast<size_t>(i) * stride, buf[i]);
     return kept;
-}
-
-/** Forward Haar butterfly schedule on stack rows held in registers. */
-inline void
-haarForwardStack(__m256 *buf, __m256 *dom, int stack, __m256 f)
-{
-    int len = stack;
-    while (len > 1) {
-        const int half = len / 2;
-        for (int i = 0; i < half; ++i) {
-            const __m256 e = buf[2 * i];
-            const __m256 o = buf[2 * i + 1];
-            dom[half + i] = _mm256_mul_ps(_mm256_sub_ps(e, o), f);
-            buf[i] = _mm256_mul_ps(_mm256_add_ps(e, o), f);
-        }
-        len = half;
-    }
-    dom[0] = buf[0];
-}
-
-/** Inverse Haar butterfly schedule; rebuilds rows into @p buf. */
-inline void
-haarInverseStack(__m256 *buf, const __m256 *dom, int stack, __m256 f)
-{
-    buf[0] = dom[0];
-    int len = 1;
-    while (len < stack) {
-        __m256 tmp[16];
-        for (int i = 0; i < len; ++i) {
-            const __m256 a = buf[i];
-            const __m256 d = dom[len + i];
-            tmp[2 * i] = _mm256_mul_ps(_mm256_add_ps(a, d), f);
-            tmp[2 * i + 1] = _mm256_mul_ps(_mm256_sub_ps(a, d), f);
-        }
-        len *= 2;
-        for (int i = 0; i < len; ++i)
-            buf[i] = tmp[i];
-    }
 }
 
 int
 haarShrinkFused(float *g, int stack, int width, float threshold)
 {
-    const __m256 f = _mm256_set1_ps(1.0f / std::sqrt(2.0f));
-    const __m256 abs_mask =
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-    const __m256 thr = _mm256_set1_ps(threshold);
-    int kept = 0;
-    int c = 0;
-    for (; c + 8 <= width; c += 8) {
-        __m256 buf[16];
-        __m256 dom[16];
-        for (int i = 0; i < stack; ++i)
-            buf[i] =
-                _mm256_loadu_ps(g + static_cast<size_t>(i) * width + c);
-        haarForwardStack(buf, dom, stack, f);
-        for (int i = 0; i < stack; ++i) {
-            const __m256 below = _mm256_cmp_ps(
-                _mm256_and_ps(dom[i], abs_mask), thr, _CMP_LT_OQ);
-            dom[i] = _mm256_andnot_ps(below, dom[i]);
-            kept += 8 - _mm_popcnt_u32(static_cast<unsigned>(
-                            _mm256_movemask_ps(below)));
+    return withDepth(stack, [&](auto depth) {
+        constexpr int S = decltype(depth)::value;
+        const HaarF32 bf;
+        const __m256 thr = _mm256_set1_ps(threshold);
+        int kept = 0;
+        int c = 0;
+        for (; c + 8 <= width; c += 8)
+            kept += haarShrinkGroup<S>(g + c, width, bf, thr, 0xffu);
+        if (c < width) {
+            const int n = width - c;
+            alignas(32) float pad[S * 8] = {};
+            copyLanes(g + c, width, pad, 8, S, n);
+            kept += haarShrinkGroup<S>(pad, 8, bf, thr, (1u << n) - 1);
+            copyLanes(pad, 8, g + c, width, S, n);
         }
-        haarInverseStack(buf, dom, stack, f);
-        for (int i = 0; i < stack; ++i)
-            _mm256_storeu_ps(g + static_cast<size_t>(i) * width + c,
-                             buf[i]);
-    }
-    for (; c < width; ++c)
-        kept += haarShrinkLaneTail(g + c, stack, width, threshold);
-    return kept;
+        return kept;
+    });
 }
 
-/** Scalar-lane tail of wienerShrinkFused. */
+/**
+ * wienerShrinkFused on one 8-lane column group. The basic rows go
+ * first — their transform back to @p bg, their weights to @p w — and
+ * the noisy rows then read the weights back, so one stack at a time
+ * is live in registers.
+ */
+template <int S>
 inline int
-wienerShrinkLaneTail(float *lane, float *blane, float *wlane, int stack,
-                     int stride, float sigma2)
+wienerShrinkGroup(float *g, float *bg, float *w, int stride,
+                  const HaarF32 &bf, __m256 s2, unsigned lanes)
 {
-    const float factor = 1.0f / std::sqrt(2.0f);
-    float buf[16];
-    float dom[16];
-    float bdom[16];
-    for (int i = 0; i < stack; ++i)
-        buf[i] = lane[static_cast<size_t>(i) * stride];
-    int len = stack;
-    while (len > 1) {
-        const int half = len / 2;
-        for (int i = 0; i < half; ++i) {
-            const float e = buf[2 * i];
-            const float o = buf[2 * i + 1];
-            dom[half + i] = (e - o) * factor;
-            buf[i] = (e + o) * factor;
-        }
-        len = half;
-    }
-    dom[0] = buf[0];
-    for (int i = 0; i < stack; ++i)
-        buf[i] = blane[static_cast<size_t>(i) * stride];
-    len = stack;
-    while (len > 1) {
-        const int half = len / 2;
-        for (int i = 0; i < half; ++i) {
-            const float e = buf[2 * i];
-            const float o = buf[2 * i + 1];
-            bdom[half + i] = (e - o) * factor;
-            buf[i] = (e + o) * factor;
-        }
-        len = half;
-    }
-    bdom[0] = buf[0];
+    const __m256 half = _mm256_set1_ps(0.5f);
+    __m256 buf[S];
+    __m256 dom[S];
+    for (int i = 0; i < S; ++i)
+        buf[i] = _mm256_loadu_ps(bg + static_cast<size_t>(i) * stride);
+    haarForwardRegs<S>(buf, dom, bf);
     int strong = 0;
-    for (int i = 0; i < stack; ++i) {
-        const float b2 = bdom[i] * bdom[i];
-        const float wi = b2 / (b2 + sigma2);
-        wlane[static_cast<size_t>(i) * stride] = wi;
-        blane[static_cast<size_t>(i) * stride] = bdom[i];
-        dom[i] *= wi;
-        if (wi > 0.5f)
-            ++strong;
+    for (int i = 0; i < S; ++i) {
+        const __m256 b2 = _mm256_mul_ps(dom[i], dom[i]);
+        const __m256 wv = _mm256_div_ps(b2, _mm256_add_ps(b2, s2));
+        _mm256_storeu_ps(w + static_cast<size_t>(i) * stride, wv);
+        _mm256_storeu_ps(bg + static_cast<size_t>(i) * stride, dom[i]);
+        strong += _mm_popcnt_u32(
+            static_cast<unsigned>(_mm256_movemask_ps(
+                _mm256_cmp_ps(wv, half, _CMP_GT_OQ))) &
+            lanes);
     }
-    buf[0] = dom[0];
-    len = 1;
-    while (len < stack) {
-        float tmp[16];
-        for (int i = 0; i < len; ++i) {
-            const float a = buf[i];
-            const float d = dom[len + i];
-            tmp[2 * i] = (a + d) * factor;
-            tmp[2 * i + 1] = (a - d) * factor;
-        }
-        len *= 2;
-        for (int i = 0; i < len; ++i)
-            buf[i] = tmp[i];
-    }
-    for (int i = 0; i < stack; ++i)
-        lane[static_cast<size_t>(i) * stride] = buf[i];
+    for (int i = 0; i < S; ++i)
+        buf[i] = _mm256_loadu_ps(g + static_cast<size_t>(i) * stride);
+    haarForwardRegs<S>(buf, dom, bf);
+    for (int i = 0; i < S; ++i)
+        dom[i] = _mm256_mul_ps(
+            dom[i], _mm256_loadu_ps(w + static_cast<size_t>(i) * stride));
+    haarInverseRegs<S>(buf, dom, bf);
+    for (int i = 0; i < S; ++i)
+        _mm256_storeu_ps(g + static_cast<size_t>(i) * stride, buf[i]);
     return strong;
 }
 
@@ -1063,43 +1089,30 @@ int
 wienerShrinkFused(float *g, float *bg, float *w, int stack, int width,
                   float sigma2)
 {
-    const __m256 f = _mm256_set1_ps(1.0f / std::sqrt(2.0f));
-    const __m256 s2 = _mm256_set1_ps(sigma2);
-    const __m256 half = _mm256_set1_ps(0.5f);
-    int strong = 0;
-    int c = 0;
-    for (; c + 8 <= width; c += 8) {
-        __m256 buf[16];
-        __m256 dom[16];
-        __m256 bdom[16];
-        for (int i = 0; i < stack; ++i)
-            buf[i] =
-                _mm256_loadu_ps(g + static_cast<size_t>(i) * width + c);
-        haarForwardStack(buf, dom, stack, f);
-        for (int i = 0; i < stack; ++i)
-            buf[i] =
-                _mm256_loadu_ps(bg + static_cast<size_t>(i) * width + c);
-        haarForwardStack(buf, bdom, stack, f);
-        for (int i = 0; i < stack; ++i) {
-            const __m256 b2 = _mm256_mul_ps(bdom[i], bdom[i]);
-            const __m256 wv = _mm256_div_ps(b2, _mm256_add_ps(b2, s2));
-            _mm256_storeu_ps(w + static_cast<size_t>(i) * width + c, wv);
-            _mm256_storeu_ps(bg + static_cast<size_t>(i) * width + c,
-                             bdom[i]);
-            dom[i] = _mm256_mul_ps(dom[i], wv);
-            strong += _mm_popcnt_u32(
-                static_cast<unsigned>(_mm256_movemask_ps(
-                    _mm256_cmp_ps(wv, half, _CMP_GT_OQ))));
+    return withDepth(stack, [&](auto depth) {
+        constexpr int S = decltype(depth)::value;
+        const HaarF32 bf;
+        const __m256 s2 = _mm256_set1_ps(sigma2);
+        int strong = 0;
+        int c = 0;
+        for (; c + 8 <= width; c += 8)
+            strong += wienerShrinkGroup<S>(g + c, bg + c, w + c, width, bf,
+                                           s2, 0xffu);
+        if (c < width) {
+            const int n = width - c;
+            alignas(32) float pg[S * 8] = {};
+            alignas(32) float pb[S * 8] = {};
+            alignas(32) float pw[S * 8];
+            copyLanes(g + c, width, pg, 8, S, n);
+            copyLanes(bg + c, width, pb, 8, S, n);
+            strong +=
+                wienerShrinkGroup<S>(pg, pb, pw, 8, bf, s2, (1u << n) - 1);
+            copyLanes(pg, 8, g + c, width, S, n);
+            copyLanes(pb, 8, bg + c, width, S, n);
+            copyLanes(pw, 8, w + c, width, S, n);
         }
-        haarInverseStack(buf, dom, stack, f);
-        for (int i = 0; i < stack; ++i)
-            _mm256_storeu_ps(g + static_cast<size_t>(i) * width + c,
-                             buf[i]);
-    }
-    for (; c < width; ++c)
-        strong += wienerShrinkLaneTail(g + c, bg + c, w + c, stack, width,
-                                       sigma2);
-    return strong;
+        return strong;
+    });
 }
 
 void
@@ -1107,138 +1120,81 @@ aggregateGroup(float *num, float *den, int plane_w, const float *coefs,
                const int *lx, const int *ly, int stack, float weight,
                const float *inv_even, const float *inv_odd)
 {
-    // Patch rows are 4 floats — 128-bit adds, same element expressions
-    // as the scalar reference (and as aggregateAdd's vector body).
+    // Patch rows are 4 floats: each restored row is added straight
+    // from its register with 128-bit adds — the same element
+    // expressions as the scalar reference (and aggregateAdd's body).
+    const Dct4Halves h(inv_even, inv_odd);
     const __m128 wv = _mm_set1_ps(weight);
-    float px[16];
     for (int i = 0; i < stack; ++i) {
-        dct4Inverse(coefs + 16 * i, px, inv_even, inv_odd);
-        for (int r = 0; r < 4; ++r) {
+        __m128 r[4];
+        dct4InverseRows(coefs + 16 * i, h, r);
+        for (int k = 0; k < 4; ++k) {
             const size_t off =
-                static_cast<size_t>(ly[i] + r) * plane_w + lx[i];
-            const __m128 p = _mm_loadu_ps(px + 4 * r);
+                static_cast<size_t>(ly[i] + k) * plane_w + lx[i];
             _mm_storeu_ps(num + off,
                           _mm_add_ps(_mm_loadu_ps(num + off),
-                                     _mm_mul_ps(wv, p)));
+                                     _mm_mul_ps(wv, r[k])));
             _mm_storeu_ps(den + off,
                           _mm_add_ps(_mm_loadu_ps(den + off), wv));
         }
     }
 }
 
-/** Scalar-lane tail of haarShrinkFusedI16. */
+/**
+ * haarShrinkFusedI16 on one 16-lane column group; @p lanes masks the
+ * movemask bits (two per lane) that count towards the kept total.
+ */
+template <int S>
 inline int
-haarShrinkLaneTailI16(int16_t *lane, int stack, int stride,
-                      int16_t threshold, int16_t factor_q15)
+haarShrinkGroupI16(int16_t *g, int stride, const HaarI16 &bf, __m256i thr,
+                   unsigned lanes)
 {
-    int16_t buf[16];
-    int16_t dom[16];
-    for (int i = 0; i < stack; ++i)
-        buf[i] = lane[static_cast<size_t>(i) * stride];
-    int len = stack;
-    while (len > 1) {
-        const int half = len / 2;
-        for (int i = 0; i < half; ++i) {
-            const int16_t e = buf[2 * i];
-            const int16_t o = buf[2 * i + 1];
-            dom[half + i] = mulhrsI16(satSubI16(e, o), factor_q15);
-            buf[i] = mulhrsI16(satAddI16(e, o), factor_q15);
-        }
-        len = half;
+    __m256i buf[S];
+    __m256i dom[S];
+    for (int i = 0; i < S; ++i)
+        buf[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+            g + static_cast<size_t>(i) * stride));
+    haarForwardRegs<S>(buf, dom, bf);
+    int kept_bits = 0;
+    for (int i = 0; i < S; ++i) {
+        // AVX2 has no cmplt: below = thr > abs(x).
+        const __m256i below =
+            _mm256_cmpgt_epi16(thr, _mm256_abs_epi16(dom[i]));
+        dom[i] = _mm256_andnot_si256(below, dom[i]);
+        kept_bits += _mm_popcnt_u32(
+            ~static_cast<unsigned>(_mm256_movemask_epi8(below)) & lanes);
     }
-    dom[0] = buf[0];
-    int kept = 0;
-    for (int i = 0; i < stack; ++i) {
-        const int16_t av =
-            dom[i] < 0
-                ? static_cast<int16_t>(-static_cast<int32_t>(dom[i]))
-                : dom[i];
-        if (av < threshold)
-            dom[i] = 0;
-        else
-            ++kept;
-    }
-    buf[0] = dom[0];
-    len = 1;
-    while (len < stack) {
-        int16_t tmp[16];
-        for (int i = 0; i < len; ++i) {
-            const int16_t a = buf[i];
-            const int16_t d = dom[len + i];
-            tmp[2 * i] = mulhrsI16(satAddI16(a, d), factor_q15);
-            tmp[2 * i + 1] = mulhrsI16(satSubI16(a, d), factor_q15);
-        }
-        len *= 2;
-        for (int i = 0; i < len; ++i)
-            buf[i] = tmp[i];
-    }
-    for (int i = 0; i < stack; ++i)
-        lane[static_cast<size_t>(i) * stride] = buf[i];
-    return kept;
+    haarInverseRegs<S>(buf, dom, bf);
+    for (int i = 0; i < S; ++i)
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(g + static_cast<size_t>(i) * stride),
+            buf[i]);
+    return kept_bits / 2;
 }
 
 int
 haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
                    int16_t factor_q15)
 {
-    const __m256i f = _mm256_set1_epi16(factor_q15);
-    const __m256i thr = _mm256_set1_epi16(threshold);
-    int kept = 0;
-    int c = 0;
-    for (; c + 16 <= width; c += 16) {
-        __m256i buf[16];
-        __m256i dom[16];
-        for (int i = 0; i < stack; ++i)
-            buf[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                g + static_cast<size_t>(i) * width + c));
-        int len = stack;
-        while (len > 1) {
-            const int half = len / 2;
-            for (int i = 0; i < half; ++i) {
-                const __m256i e = buf[2 * i];
-                const __m256i o = buf[2 * i + 1];
-                dom[half + i] =
-                    _mm256_mulhrs_epi16(_mm256_subs_epi16(e, o), f);
-                buf[i] =
-                    _mm256_mulhrs_epi16(_mm256_adds_epi16(e, o), f);
-            }
-            len = half;
+    return withDepth(stack, [&](auto depth) {
+        constexpr int S = decltype(depth)::value;
+        const HaarI16 bf{_mm256_set1_epi16(factor_q15)};
+        const __m256i thr = _mm256_set1_epi16(threshold);
+        int kept = 0;
+        int c = 0;
+        for (; c + 16 <= width; c += 16)
+            kept += haarShrinkGroupI16<S>(g + c, width, bf, thr,
+                                          0xffffffffu);
+        if (c < width) {
+            const int n = width - c;
+            alignas(32) int16_t pad[S * 16] = {};
+            copyLanes(g + c, width, pad, 16, S, n);
+            kept += haarShrinkGroupI16<S>(pad, 16, bf, thr,
+                                          (1u << (2 * n)) - 1);
+            copyLanes(pad, 16, g + c, width, S, n);
         }
-        dom[0] = buf[0];
-        for (int i = 0; i < stack; ++i) {
-            // AVX2 has no cmplt: below = thr > abs(x).
-            const __m256i below =
-                _mm256_cmpgt_epi16(thr, _mm256_abs_epi16(dom[i]));
-            dom[i] = _mm256_andnot_si256(below, dom[i]);
-            kept += 16 - _mm_popcnt_u32(static_cast<unsigned>(
-                             _mm256_movemask_epi8(below))) /
-                             2;
-        }
-        buf[0] = dom[0];
-        len = 1;
-        while (len < stack) {
-            __m256i tmp[16];
-            for (int i = 0; i < len; ++i) {
-                const __m256i a = buf[i];
-                const __m256i d = dom[len + i];
-                tmp[2 * i] =
-                    _mm256_mulhrs_epi16(_mm256_adds_epi16(a, d), f);
-                tmp[2 * i + 1] =
-                    _mm256_mulhrs_epi16(_mm256_subs_epi16(a, d), f);
-            }
-            len *= 2;
-            for (int i = 0; i < len; ++i)
-                buf[i] = tmp[i];
-        }
-        for (int i = 0; i < stack; ++i)
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(
-                                    g + static_cast<size_t>(i) * width + c),
-                                buf[i]);
-    }
-    for (; c < width; ++c)
-        kept += haarShrinkLaneTailI16(g + c, stack, width, threshold,
-                                      factor_q15);
-    return kept;
+        return kept;
+    });
 }
 
 const KernelTable kAvx2TableStorage = {

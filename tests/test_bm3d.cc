@@ -2,19 +2,27 @@
  * @file
  * Unit and integration tests for the BM3D denoiser: configuration
  * validation, denoising quality, Matches Reuse behaviour, fixed-point
- * mode, multithreading determinism, and the sharpening extension.
+ * mode, multithreading determinism, the sharpening extension, step
+ * accounting, and the tiled stage loop against the per-reference loop
+ * written out.
  *
  * Test images are small (the full-parameter algorithm is O(Ns^2) per
  * pixel by design); search windows are reduced where the full 49x49
  * window would dominate runtime without adding coverage.
  */
 
+#include <chrono>
+#include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
+#include "bm3d/blockmatch.h"
 #include "bm3d/bm3d.h"
+#include "bm3d/denoise.h"
 #include "bm3d/patchfield.h"
+#include "bm3d/seeding.h"
 #include "image/metrics.h"
 #include "image/noise.h"
 #include "image/synthetic.h"
@@ -964,4 +972,291 @@ TEST(Bm3dFused, Int16SpectrumStaysWithinSnrEnvelope)
         image::psnrDb(scene.clean, r_float.output);
     const double psnr_i16 = image::psnrDb(scene.clean, r_i16.output);
     EXPECT_GT(psnr_i16, psnr_float - 0.1);
+}
+
+// Stage accounting closes to the wall clock: the tile loops time each
+// tile row once under BM and once under DE, and no step timer runs
+// inside another, so the step seconds of a one-thread run cannot
+// exceed the call's wall time. A nested timer (say, the Wiener gathers
+// under DCT2 inside DE2) would count its time twice and overshoot.
+TEST(Bm3d, StepSecondsSumToAtMostWallTime)
+{
+    auto scene = makeTestScene(image::SceneKind::Nature, 128, 25.0f, 60,
+                               /*channels=*/3);
+    Bm3dConfig cfg;
+    cfg.sigma = 25.0f;
+    ASSERT_EQ(cfg.numThreads, 1);
+    ASSERT_TRUE(cfg.enableWiener);
+    const Bm3d denoiser(cfg);
+    const auto start = std::chrono::steady_clock::now();
+    const bm3d::Bm3dResult r = denoiser.denoise(scene.noisy);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_GT(r.profile.seconds(Step::De2), 0.0);
+    EXPECT_LE(r.profile.totalSeconds(), wall);
+}
+
+namespace {
+
+/**
+ * One stage written out as the per-reference loop, independent of the
+ * tiled runner: for each reference in row-major order, search (MR
+ * reuse of the left neighbour, then of the reference above under
+ * acrossRows, then the temporal seed, else the window scan under the
+ * adaptive bound carried along the row), then
+ * DenoiseEngine::processStack into one full-image Aggregator. With one
+ * tile (1 thread, tileGrain >= the grid) the runner must produce the
+ * same floats. Only the float DCT domain seeds.
+ */
+template <typename Domain>
+image::ImageF
+referenceStageLoop(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
+                   const image::ImageF &noisy, const image::ImageF *basic,
+                   const bm3d::DctPatchField *field,
+                   bm3d::TemporalSeed *seed)
+{
+    const bm3d::BlockMatcher<Domain> matcher(
+        domain, cfg.searchWindow(stage), cfg.searchStride, cfg.refStride,
+        cfg.tauMatch(stage), cfg.maxMatches, cfg.boundedDistance);
+    const std::vector<int> xs =
+        bm3d::makeRefPositions(domain.positionsX() - 1, cfg.refStride);
+    const std::vector<int> ys =
+        bm3d::makeRefPositions(domain.positionsY() - 1, cfg.refStride);
+    bm3d::DenoiseEngine engine(cfg, stage, noisy, basic, field, nullptr);
+    engine.prepareTile(0, 0, domain.positionsX() - 1,
+                       domain.positionsY() - 1);
+    bm3d::Aggregator agg(noisy.width(), noisy.height(), noisy.channels());
+
+    const float tau = matcher.tauMatch();
+    const float reuse = static_cast<float>(cfg.mr.k) * tau;
+    const int coefs = domain.patchCoefs();
+    constexpr bool kSeedable =
+        std::is_same_v<Domain, bm3d::DctMatchDomain>;
+    EXPECT_TRUE(kSeedable || seed == nullptr);
+    std::vector<bm3d::MatchList> above(xs.size());
+    for (size_t yi = 0; yi < ys.size(); ++yi) {
+        const int y = ys[yi];
+        bm3d::MatchList left;
+        float worst = std::numeric_limits<float>::infinity();
+        for (size_t xi = 0; xi < xs.size(); ++xi) {
+            const int x = xs[xi];
+            const size_t cell = yi * xs.size() + xi;
+            float bound = std::numeric_limits<float>::infinity();
+            if (cfg.variant.adaptiveBound &&
+                std::isfinite(cfg.variant.boundMargin) &&
+                std::isfinite(worst))
+                bound = std::max(worst * cfg.variant.boundMargin,
+                                 0.125f * tau);
+            float desc[64];
+            if constexpr (kSeedable) {
+                if (seed != nullptr)
+                    domain.gatherRef(x, y, desc);
+            }
+
+            bm3d::MatchList list;
+            bool found = false;
+            if (cfg.mr.enabled && xi > 0 &&
+                matcher.referenceDistance(x, y, xs[xi - 1], y) < reuse) {
+                matcher.searchReuse(x, y, left, list);
+                found = true;
+            }
+            if (!found && cfg.mr.enabled && cfg.mr.acrossRows && yi > 0 &&
+                matcher.referenceDistance(x, y, x, ys[yi - 1]) < reuse) {
+                matcher.searchReuseDown(x, y, above[xi], list);
+                found = true;
+            }
+            if (kSeedable && !found && seed != nullptr &&
+                seed->previous != nullptr) {
+                const float *prev =
+                    seed->previous->refDesc.data() + cell * coefs;
+                float ssd = 0.0f;
+                for (int k = 0; k < coefs; ++k)
+                    ssd += (desc[k] - prev[k]) * (desc[k] - prev[k]);
+                if (ssd / static_cast<float>(coefs) < seed->reuseBound) {
+                    matcher.searchSeeded(x, y, seed->previous->cell(cell),
+                                         seed->previous->count[cell],
+                                         seed->window, list, bound,
+                                         nullptr);
+                    found = true;
+                }
+            }
+            if (!found)
+                matcher.search(x, y, list, bound, nullptr);
+            if (kSeedable && seed != nullptr && seed->current != nullptr) {
+                bm3d::SeedStore &store = *seed->current;
+                std::copy(desc, desc + coefs,
+                          store.refDesc.data() + cell * coefs);
+                const int n = std::min(list.size(), store.capacity());
+                for (int k = 0; k < n; ++k)
+                    store.pos[cell * store.capacity() + k] =
+                        bm3d::SeedPos{static_cast<uint16_t>(list[k].x),
+                                      static_cast<uint16_t>(list[k].y)};
+                store.count[cell] = static_cast<uint8_t>(n);
+            }
+
+            engine.processStack(list, agg);
+            worst = list.worstDistance();
+            left = list;
+            above[xi] = list;
+        }
+    }
+    return agg.finalize(stage == Stage::Wiener ? *basic : noisy);
+}
+
+/** Build the stage-1 DCT field of @p noisy as runStage does. */
+void
+buildStageOneField(const Bm3dConfig &cfg, const image::ImageF &noisy,
+                   bm3d::DctPatchField &field)
+{
+    const transforms::Dct2D dct(cfg.patchSize);
+    const image::ImageF plane0 = noisy.extractPlane(0);
+    const float threshold = cfg.lambda2d * cfg.sigma;
+    bm3d::OpCounters ops;
+    field.build(plane0, dct, threshold, cfg.fixedPoint, &ops);
+    if (cfg.precision == bm3d::Precision::Int16) {
+        field.prepareI16();
+        field.fillRowsI16(plane0, dct, threshold, 0, field.positionsY());
+    }
+}
+
+/** Stage 1 through the reference loop, over the matching domain of
+    @p cfg's precision. */
+image::ImageF
+referenceStageOne(const Bm3dConfig &cfg, const image::ImageF &noisy,
+                  bm3d::TemporalSeed *seed = nullptr)
+{
+    bm3d::DctPatchField field;
+    buildStageOneField(cfg, noisy, field);
+    if (cfg.precision == bm3d::Precision::Int16)
+        return referenceStageLoop(cfg, Stage::HardThreshold,
+                                  bm3d::DctMatchDomainI16(field), noisy,
+                                  nullptr, &field, seed);
+    return referenceStageLoop(cfg, Stage::HardThreshold,
+                              bm3d::DctMatchDomain(field), noisy, nullptr,
+                              &field, seed);
+}
+
+/** One-tile config: one thread, tileGrain covering the whole grid. */
+Bm3dConfig
+oneTileConfig(int size)
+{
+    Bm3dConfig cfg = smallConfig();
+    cfg.numThreads = 1;
+    cfg.tileGrain = size;
+    return cfg;
+}
+
+} // namespace
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopWithMrAcrossRows)
+{
+    const auto scene = makeTestScene(image::SceneKind::Nature, 40, 25.0f,
+                                     61, /*channels=*/3);
+    Bm3dConfig cfg = oneTileConfig(40);
+    cfg.mr.enabled = true;
+    cfg.mr.acrossRows = true;
+    bm3d::Profile profile;
+    const image::ImageF out = Bm3d(cfg).runStage(
+        Stage::HardThreshold, scene.noisy, nullptr, profile);
+    ASSERT_GT(profile.mr().bm1Hits, profile.mr().bm1VertHits);
+    ASSERT_GT(profile.mr().bm1VertHits, 0u);
+    EXPECT_TRUE(out.raw() == referenceStageOne(cfg, scene.noisy).raw());
+}
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopWithAdaptiveBound)
+{
+    const auto scene =
+        makeTestScene(image::SceneKind::Street, 40, 25.0f, 62);
+    Bm3dConfig cfg = oneTileConfig(40);
+    cfg.variant.adaptiveBound = true;
+    cfg.variant.boundMargin = 1.5f;
+    bm3d::Profile profile;
+    const image::ImageF out = Bm3d(cfg).runStage(
+        Stage::HardThreshold, scene.noisy, nullptr, profile);
+    ASSERT_GT(profile.adaptive().prunedInserts, 0u);
+    EXPECT_TRUE(out.raw() == referenceStageOne(cfg, scene.noisy).raw());
+}
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopOnSeededSecondFrame)
+{
+    const int size = 40;
+    const image::ImageF clean =
+        image::makeScene(image::SceneKind::Nature, size, size, 1, 63);
+    const image::ImageF frames[2] = {
+        image::addGaussianNoise(clean, 25.0f, 64),
+        image::addGaussianNoise(clean, 25.0f, 65)};
+    const Bm3dConfig cfg = oneTileConfig(size);
+    const Bm3d denoiser(cfg);
+    bm3d::DctPatchField geometry;
+    buildStageOneField(cfg, frames[0], geometry);
+    const int nx = static_cast<int>(
+        bm3d::makeRefPositions(geometry.positionsX() - 1, cfg.refStride)
+            .size());
+    const int ny = static_cast<int>(
+        bm3d::makeRefPositions(geometry.positionsY() - 1, cfg.refStride)
+            .size());
+
+    // The runner and the reference loop each carry their own stores
+    // from frame 0 into frame 1.
+    bm3d::SeedStore run_stores[2];
+    bm3d::SeedStore ref_stores[2];
+    for (int f = 0; f < 2; ++f) {
+        bm3d::TemporalSeed run_seed;
+        bm3d::TemporalSeed ref_seed;
+        for (bm3d::TemporalSeed *s : {&run_seed, &ref_seed}) {
+            s->reuseBound = 0.6f * cfg.tauMatch1;
+            s->window = 9;
+        }
+        run_stores[f].reset(nx, ny, geometry.coefs(), cfg.maxMatches);
+        ref_stores[f].reset(nx, ny, geometry.coefs(), cfg.maxMatches);
+        run_seed.current = &run_stores[f];
+        ref_seed.current = &ref_stores[f];
+        if (f > 0) {
+            run_seed.previous = &run_stores[f - 1];
+            ref_seed.previous = &ref_stores[f - 1];
+        }
+        bm3d::StageOptions opts;
+        opts.seed = &run_seed;
+        bm3d::Profile profile;
+        const image::ImageF out = denoiser.runStage(
+            Stage::HardThreshold, frames[f], nullptr, profile, opts);
+        if (f > 0) {
+            ASSERT_GT(run_seed.hits.load(), 0u);
+        }
+        EXPECT_TRUE(out.raw() ==
+                    referenceStageOne(cfg, frames[f], &ref_seed).raw())
+            << "frame " << f;
+    }
+}
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopUnderInt16)
+{
+    const auto scene = makeTestScene(image::SceneKind::Street, 40, 25.0f,
+                                     66, /*channels=*/3);
+    Bm3dConfig cfg = oneTileConfig(40);
+    cfg.precision = bm3d::Precision::Int16;
+    bm3d::Profile profile;
+    const image::ImageF out = Bm3d(cfg).runStage(
+        Stage::HardThreshold, scene.noisy, nullptr, profile);
+    EXPECT_TRUE(out.raw() == referenceStageOne(cfg, scene.noisy).raw());
+}
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopInWienerStage)
+{
+    const auto scene = makeTestScene(image::SceneKind::Texture, 40, 25.0f,
+                                     67, /*channels=*/3);
+    const Bm3dConfig cfg = oneTileConfig(40);
+    const Bm3d denoiser(cfg);
+    bm3d::Profile profile;
+    const image::ImageF basic = denoiser.runStage(
+        Stage::HardThreshold, scene.noisy, nullptr, profile);
+    const image::ImageF out =
+        denoiser.runStage(Stage::Wiener, scene.noisy, &basic, profile);
+    const image::ImageF basic_plane0 = basic.extractPlane(0);
+    const image::ImageF ref = referenceStageLoop(
+        cfg, Stage::Wiener,
+        bm3d::ColorMatchDomain(basic_plane0, cfg.patchSize), scene.noisy,
+        &basic, nullptr, nullptr);
+    EXPECT_TRUE(out.raw() == ref.raw());
 }

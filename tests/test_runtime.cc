@@ -23,6 +23,7 @@
 #include "image/synthetic.h"
 #include "obs/metrics.h"
 #include "runtime/stream.h"
+#include "service/service.h"
 #include "simd/simd.h"
 
 using namespace ideal;
@@ -395,6 +396,29 @@ TEST_F(RuntimeTest, ConfigValidation)
     cfg.temporalSeed = true;
     cfg.seedWindow = cfg.frame.searchWindow1 + 2;
     EXPECT_THROW(StreamDenoiser s(cfg), std::invalid_argument);
+}
+
+// Only the float DCT matching domain seeds, so an Int16 stream with
+// temporalSeed would reset two seed stores per frame and still run
+// unseeded. The combination is rejected up front, for the stream and
+// for a service session alike.
+TEST_F(RuntimeTest, RejectsTemporalSeedUnderInt16)
+{
+    StreamConfig cfg = smallStreamConfig(1);
+    cfg.temporalSeed = true;
+    cfg.frame.precision = bm3d::Precision::Int16;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    EXPECT_THROW(StreamDenoiser s(cfg), std::invalid_argument);
+    service::SessionConfig session;
+    session.name = "i16_seed";
+    session.stream = cfg;
+    EXPECT_THROW(session.validate(), std::invalid_argument);
+
+    cfg.temporalSeed = false;
+    EXPECT_NO_THROW(StreamDenoiser s(cfg));
+    cfg.temporalSeed = true;
+    cfg.frame.precision = bm3d::Precision::Float32;
+    EXPECT_NO_THROW(StreamDenoiser s(cfg));
 }
 
 // Satellite of the same PR: the video denoiser's DCT1 prepass now
