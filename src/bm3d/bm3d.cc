@@ -32,15 +32,21 @@ namespace {
 struct WorkerScratch
 {
     Profile profile;
+    /// Temporal-seed tries and hits of this executor's tiles.
+    uint64_t seedRefs = 0;
+    uint64_t seedHits = 0;
     std::optional<DenoiseEngine> engine;
-    /// Match lists the tile loops search into before the engine
+    /// Match lists processTile searches into before the engine
     /// denoises them (DESIGN §5): the tile row in flight, plus the row
-    /// above under MR's across-rows extension, or the whole tile on
-    /// the coarse-to-fine path.
+    /// above under MR's across-rows extension, or the whole tile under
+    /// coarse-to-fine.
     std::vector<MatchList> lists;
-    /// Coarse-to-fine: the cells of `lists` pass 1 searched.
-    std::vector<uint8_t> coarseSearched;
 };
+
+/// Temporal seeding applies only to BM1 over the float DCT matching
+/// domain (the streaming runtime never seeds the Wiener stage).
+template <typename Domain>
+constexpr bool kSeedable = std::is_same_v<Domain, DctMatchDomain>;
 
 /**
  * Floor of the propagated adaptive bound, as a fraction of Tmatch.
@@ -90,83 +96,15 @@ stackResidual(const MatchList &m, float tau, int max_matches)
 }
 
 /**
- * Next index of the subsampled coarse walk over [begin, end): step by
- * @p stride but always land on end - 1 before finishing, so tile-edge
+ * Whether index @p i of [begin, end) lies on the subsampled coarse
+ * grid: every @p stride-th index from begin, plus end - 1, so tile-edge
  * references are searched on every tile and image-edge pixels keep
  * reference coverage regardless of the stride.
  */
-inline int
-nextCoarseIndex(int i, int end, int stride)
+inline bool
+onCoarseGrid(int i, int begin, int end, int stride)
 {
-    return i >= end - 1 ? end : std::min(i + stride, end - 1);
-}
-
-/**
- * One reference patch's non-MR search: the temporal-seed check and
- * seeded scan (DctMatchDomain under a streaming run), or the full
- * window scan, both under the adaptive acceptance cutoff @p bound;
- * then the seed-store write for frame t+1. Shared by the dense tile
- * path's miss branch sibling logic in processTile (kept inline there,
- * interleaved with MR) and by both passes of processTileCoarse.
- * @return number of candidate distances evaluated
- */
-template <typename Domain>
-uint64_t
-searchReference(const Domain &domain, const BlockMatcher<Domain> &matcher,
-                TemporalSeed *seed, size_t ref_idx, int x, int y,
-                float bound, MatchList &current, uint64_t &pruned,
-                uint64_t &seed_refs, uint64_t &seed_hits, bool &seed_hit)
-{
-    constexpr bool kSeedableDomain =
-        std::is_same_v<Domain, DctMatchDomain>;
-    uint64_t candidates = 0;
-    seed_hit = false;
-    if constexpr (kSeedableDomain) {
-        if (seed != nullptr) {
-            const int coefs = domain.patchCoefs();
-            float desc_tmp[64];
-            float *desc = seed->current != nullptr
-                              ? seed->current->refDesc.data() +
-                                    ref_idx * coefs
-                              : desc_tmp;
-            domain.gatherRef(x, y, desc);
-            if (seed->previous != nullptr) {
-                ++seed_refs;
-                const float *prev_desc =
-                    seed->previous->refDesc.data() + ref_idx * coefs;
-                float ssd = 0.0f;
-                for (int k = 0; k < coefs; ++k) {
-                    const float diff = desc[k] - prev_desc[k];
-                    ssd += diff * diff;
-                }
-                ++candidates;
-                const float d = ssd / static_cast<float>(coefs);
-                if (d < seed->reuseBound) {
-                    seed_hit = true;
-                    ++seed_hits;
-                    candidates += matcher.searchSeeded(
-                        x, y, seed->previous->cell(ref_idx),
-                        seed->previous->count[ref_idx], seed->window,
-                        current, bound, &pruned);
-                }
-            }
-        }
-    }
-    if (!seed_hit)
-        candidates += matcher.search(x, y, current, bound, &pruned);
-    if constexpr (kSeedableDomain) {
-        if (seed != nullptr && seed->current != nullptr) {
-            SeedStore &cs = *seed->current;
-            SeedPos *slot = cs.pos.data() + ref_idx * cs.capacity();
-            const int n = std::min(current.size(), cs.capacity());
-            for (int i = 0; i < n; ++i) {
-                slot[i] = SeedPos{static_cast<uint16_t>(current[i].x),
-                                  static_cast<uint16_t>(current[i].y)};
-            }
-            cs.count[ref_idx] = static_cast<uint8_t>(n);
-        }
-    }
-    return candidates;
+    return (i - begin) % stride == 0 || i == end - 1;
 }
 
 /**
@@ -179,401 +117,246 @@ searchReference(const Domain &domain, const BlockMatcher<Domain> &matcher,
  *
  * Each tile row runs in two phases, as IDEAL's matching engines fill
  * the match queue its denoising engine drains: every search of the
- * row writes its list into @p lists, then the engine denoises the
- * row's lists in order. Denoising never feeds matching and the
- * aggregation order is the reference order either way, so the phases
- * change no bit; they give each row one BM and one DE timer instead
- * of one per reference.
+ * row writes its list into the worker's lists, then the engine
+ * denoises the row's lists in order. Denoising never feeds matching
+ * and the aggregation order is the reference order either way, so the
+ * phases change no bit; they give each row one BM and one DE timer
+ * instead of one per reference.
+ *
+ * Coarse-to-fine (variant.coarseToFine) adds a first pass that searches
+ * the subsampled grid (onCoarseGrid in both axes) into a whole-tile
+ * grid of lists and denoises nothing. The tile's mean stack residual
+ * then decides the row loop: it keeps the lists the first pass
+ * searched, and searches the other references if the tile densifies
+ * or skips them if it stays coarse. Aggregation stays in row-major
+ * order, so densifyThreshold <= 0 is bitwise the dense scan.
+ * validate() rejects MR on this path.
+ *
+ * The tile's MR, adaptive and seed counts accumulate in @p ws; the
+ * stage runner exports their sums once (StageRunner::finishStats).
  */
 template <typename Domain>
 void
 processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
             const BlockMatcher<Domain> &matcher,
             const std::vector<int> &xs, const std::vector<int> &ys,
-            const parallel::Tile &tile, DenoiseEngine &engine,
-            Aggregator &agg, Profile &profile,
-            std::vector<MatchList> &lists, TemporalSeed *seed)
+            const parallel::Tile &tile, Aggregator &agg, WorkerScratch &ws,
+            TemporalSeed *seed)
 {
     const Step bm_step =
         stage == Stage::HardThreshold ? Step::Bm1 : Step::Bm2;
-    const float reuse_bound =
-        static_cast<float>(cfg.mr.k) * matcher.tauMatch();
-    const float bound_floor = kAdaptiveBoundFloor * matcher.tauMatch();
+    const float tau = matcher.tauMatch();
+    const float reuse_bound = static_cast<float>(cfg.mr.k) * tau;
+    const float bound_floor = kAdaptiveBoundFloor * tau;
     const int w = tile.width();
+    const size_t grid_x = xs.size();
+    const bool across_rows = cfg.mr.enabled && cfg.mr.acrossRows;
+    const bool coarse = cfg.variant.coarseToFine;
+    const int stride = cfg.variant.coarseStride;
+    [[maybe_unused]] const int seed_coefs = domain.patchCoefs();
+
+    MrStats mr;
+    const bool hard = stage == Stage::HardThreshold;
+    uint64_t &refs = hard ? mr.bm1Refs : mr.bm2Refs;
+    uint64_t &hits = hard ? mr.bm1Hits : mr.bm2Hits;
+    uint64_t &vert_hits = hard ? mr.bm1VertHits : mr.bm2VertHits;
+    uint64_t &candidates = hard ? mr.bm1Candidates : mr.bm2Candidates;
+    AdaptiveStats av;
+    uint64_t seed_refs = 0;
+    uint64_t seed_hits = 0;
+
+    // One reference: reuse the left neighbour's matches (MR), else the
+    // matches above (across rows), else the previous frame's at this
+    // cell (temporal seed), else scan the window under the adaptive
+    // cutoff propagated from @p carry; then remember the list for frame
+    // t+1. A @p skip reference (coarse tile) gets an empty list and a
+    // NaN descriptor, which no closeness check passes.
+    auto step = [&](int xi, int yi, bool skip, float carry,
+                    const MatchList *left, const MatchList *above,
+                    MatchList &current) {
+        const int x = xs[xi];
+        const int y = ys[yi];
+        [[maybe_unused]] const size_t ref_idx =
+            static_cast<size_t>(yi) * grid_x + xi;
+        [[maybe_unused]] float desc_tmp[64];
+        [[maybe_unused]] float *desc = nullptr;
+        if constexpr (kSeedable<Domain>) {
+            if (seed != nullptr) {
+                // Gather this reference's descriptor once: it is both
+                // the value stored for frame t+1's closeness check and
+                // the left side of frame t's check against the stored
+                // t-1 descriptor.
+                desc = seed->current != nullptr
+                           ? seed->current->refDesc.data() +
+                                 ref_idx * seed_coefs
+                           : desc_tmp;
+                if (skip)
+                    std::fill_n(desc, seed_coefs,
+                                std::numeric_limits<float>::quiet_NaN());
+                else
+                    domain.gatherRef(x, y, desc);
+            }
+        }
+        if (skip) {
+            current.clear();
+            ++av.refsSkipped;
+        } else {
+            const float bound =
+                adaptiveBoundFrom(cfg.variant, carry, bound_floor);
+            bool reused = false;
+            bool seeded = false;
+            if (left != nullptr) {
+                // The MR check: is the current reference patch close
+                // enough to the previous one to reuse its matches?
+                // (Sec. 5.1, strictness factor K.)
+                ++candidates;
+                if (matcher.referenceDistance(x, y, xs[xi - 1], y) <
+                    reuse_bound) {
+                    reused = true;
+                    candidates += matcher.searchReuse(x, y, *left, current);
+                }
+            }
+            if (!reused && above != nullptr) {
+                // Across-rows fallback: try the reference patch
+                // directly above.
+                ++candidates;
+                if (matcher.referenceDistance(x, y, x, ys[yi - 1]) <
+                    reuse_bound) {
+                    reused = true;
+                    ++vert_hits;
+                    candidates +=
+                        matcher.searchReuseDown(x, y, *above, current);
+                }
+            }
+            if constexpr (kSeedable<Domain>) {
+                if (!reused && seed != nullptr &&
+                    seed->previous != nullptr) {
+                    // Temporal MR check: compare against the *previous
+                    // frame's* descriptor at this grid cell. Scalar
+                    // accumulation keeps the check — and therefore
+                    // match selection — independent of the active SIMD
+                    // level.
+                    ++seed_refs;
+                    const float *prev_desc =
+                        seed->previous->refDesc.data() +
+                        ref_idx * seed_coefs;
+                    float ssd = 0.0f;
+                    for (int k = 0; k < seed_coefs; ++k) {
+                        const float diff = desc[k] - prev_desc[k];
+                        ssd += diff * diff;
+                    }
+                    ++candidates;
+                    if (ssd / static_cast<float>(seed_coefs) <
+                        seed->reuseBound) {
+                        seeded = true;
+                        ++seed_hits;
+                        candidates += matcher.searchSeeded(
+                            x, y, seed->previous->cell(ref_idx),
+                            seed->previous->count[ref_idx], seed->window,
+                            current, bound, &av.prunedInserts);
+                    }
+                }
+            }
+            if (!reused && !seeded)
+                candidates += matcher.search(x, y, current, bound,
+                                             &av.prunedInserts);
+            ++refs;
+            // Seed hits are counted apart; MR stats keep their
+            // single-frame (Fig. 10) meaning.
+            hits += reused ? 1 : 0;
+        }
+        if constexpr (kSeedable<Domain>) {
+            if (seed != nullptr && seed->current != nullptr) {
+                // Remember this frame's matches for frame t+1.
+                SeedStore &cs = *seed->current;
+                SeedPos *slot = cs.pos.data() + ref_idx * cs.capacity();
+                const int n = std::min(current.size(), cs.capacity());
+                for (int k = 0; k < n; ++k) {
+                    slot[k] =
+                        SeedPos{static_cast<uint16_t>(current[k].x),
+                                static_cast<uint16_t>(current[k].y)};
+                }
+                cs.count[ref_idx] = static_cast<uint8_t>(n);
+            }
+        }
+    };
+
+    // The row in flight, plus the row above under across-rows, or the
+    // whole tile under coarse-to-fine, whose first pass fills rows
+    // before the row loop reaches them.
+    const int list_rows = coarse ? tile.height() : across_rows ? 2 : 1;
+    std::vector<MatchList> &lists = ws.lists;
+    lists.resize(static_cast<size_t>(list_rows) * w);
+
+    // Coarse-to-fine's first pass: search the coarse grid, aggregate
+    // nothing, and densify when the mean stack residual asks for it.
+    bool densify = true;
+    if (coarse) {
+        double residual_sum = 0.0;
+        int coarse_refs = 0;
+        for (int yi = tile.y0; yi < tile.y1; ++yi) {
+            if (!onCoarseGrid(yi, tile.y0, tile.y1, stride))
+                continue;
+            ScopedTimer timer(ws.profile, bm_step);
+            MatchList *row =
+                lists.data() + static_cast<size_t>(yi - tile.y0) * w;
+            float carry = std::numeric_limits<float>::infinity();
+            for (int xi = tile.x0; xi < tile.x1; ++xi) {
+                if (!onCoarseGrid(xi, tile.x0, tile.x1, stride))
+                    continue;
+                MatchList &current = row[xi - tile.x0];
+                step(xi, yi, false, carry, nullptr, nullptr, current);
+                carry = current.worstDistance();
+                residual_sum +=
+                    stackResidual(current, tau, cfg.maxMatches);
+                ++coarse_refs;
+            }
+        }
+        densify = static_cast<float>(residual_sum / coarse_refs) >=
+                  cfg.variant.densifyThreshold;
+        if (densify)
+            ++av.tilesDensified;
+        else
+            ++av.tilesCoarse;
+    }
 
     // Across-rows extension state: the previous tile row's lists. The
     // two rows swap halves of the buffer at each row end.
-    const bool across_rows = cfg.mr.enabled && cfg.mr.acrossRows;
-    lists.resize(static_cast<size_t>(across_rows ? 2 : 1) * w);
     MatchList *row = lists.data();
     MatchList *row_above = across_rows ? row + w : nullptr;
     bool have_row_above = false;
-
-    // Temporal seeding only applies to BM1 over the DCT matching
-    // domain (the streaming runtime never seeds the Wiener stage).
-    constexpr bool kSeedableDomain =
-        std::is_same_v<Domain, DctMatchDomain>;
-    [[maybe_unused]] const size_t grid_x = xs.size();
-    [[maybe_unused]] const int seed_coefs = domain.patchCoefs();
-    [[maybe_unused]] uint64_t seed_refs = 0;
-    [[maybe_unused]] uint64_t seed_hits = 0;
-
-    MrStats mr;
-    AdaptiveStats av;
     for (int yi = tile.y0; yi < tile.y1; ++yi) {
-        const int y = ys[yi];
-        const int y_above = yi > tile.y0 ? ys[yi - 1] : 0;
+        if (coarse)
+            row = lists.data() + static_cast<size_t>(yi - tile.y0) * w;
+        const bool coarse_row =
+            coarse && onCoarseGrid(yi, tile.y0, tile.y1, stride);
         {
-            ScopedTimer timer(profile, bm_step);
+            ScopedTimer timer(ws.profile, bm_step);
             // Adaptive early-termination state (variant.adaptiveBound):
             // the previous reference's worst kept distance, reset at
             // each row start like the MR chain.
             float carry = std::numeric_limits<float>::infinity();
             for (int i = 0; i < w; ++i) {
                 const int xi = tile.x0 + i;
-                const int x = xs[xi];
-                MatchList &current = row[i];
-                const float bound =
-                    adaptiveBoundFrom(cfg.variant, carry, bound_floor);
-                bool hit = false;
-                bool vert_hit = false;
-                bool seed_hit = false;
-                uint64_t candidates = 0;
-                [[maybe_unused]] const size_t ref_idx =
-                    static_cast<size_t>(yi) * grid_x + xi;
-                [[maybe_unused]] float desc_tmp[64];
-                [[maybe_unused]] float *desc = nullptr;
-                if constexpr (kSeedableDomain) {
-                    if (seed != nullptr) {
-                        // Gather this reference's descriptor once: it
-                        // is both the value stored for frame t+1's
-                        // closeness check and the left side of frame
-                        // t's check against the stored t-1 descriptor.
-                        desc = seed->current != nullptr
-                                   ? seed->current->refDesc.data() +
-                                         ref_idx * seed_coefs
-                                   : desc_tmp;
-                        domain.gatherRef(x, y, desc);
-                    }
+                if (!coarse_row ||
+                    !onCoarseGrid(xi, tile.x0, tile.x1, stride)) {
+                    step(xi, yi, !densify, carry,
+                         cfg.mr.enabled && i > 0 ? &row[i - 1] : nullptr,
+                         have_row_above ? &row_above[i] : nullptr, row[i]);
                 }
-                if (cfg.mr.enabled && i > 0) {
-                    // The MR check: is the current reference patch
-                    // close enough to the previous one to reuse its
-                    // matches? (Sec. 5.1, strictness factor K.)
-                    float d =
-                        matcher.referenceDistance(x, y, xs[xi - 1], y);
-                    ++candidates;
-                    if (d < reuse_bound) {
-                        hit = true;
-                        candidates += matcher.searchReuse(
-                            x, y, row[i - 1], current);
-                    }
-                }
-                if (!hit && across_rows && have_row_above) {
-                    // Across-rows fallback: try the reference patch
-                    // directly above.
-                    float d = matcher.referenceDistance(x, y, x, y_above);
-                    ++candidates;
-                    if (d < reuse_bound) {
-                        hit = true;
-                        vert_hit = true;
-                        candidates += matcher.searchReuseDown(
-                            x, y, row_above[i], current);
-                    }
-                }
-                if constexpr (kSeedableDomain) {
-                    if (!hit && seed != nullptr &&
-                        seed->previous != nullptr) {
-                        // Temporal MR check: compare against the
-                        // *previous frame's* descriptor at this grid
-                        // cell. Scalar accumulation keeps the check —
-                        // and therefore match selection — independent
-                        // of the active SIMD level.
-                        ++seed_refs;
-                        const float *prev_desc =
-                            seed->previous->refDesc.data() +
-                            ref_idx * seed_coefs;
-                        float ssd = 0.0f;
-                        for (int k = 0; k < seed_coefs; ++k) {
-                            const float diff = desc[k] - prev_desc[k];
-                            ssd += diff * diff;
-                        }
-                        ++candidates;
-                        const float d =
-                            ssd / static_cast<float>(seed_coefs);
-                        if (d < seed->reuseBound) {
-                            hit = true;
-                            seed_hit = true;
-                            ++seed_hits;
-                            candidates += matcher.searchSeeded(
-                                x, y, seed->previous->cell(ref_idx),
-                                seed->previous->count[ref_idx],
-                                seed->window, current, bound,
-                                &av.prunedInserts);
-                        }
-                    }
-                }
-                if (!hit)
-                    candidates += matcher.search(x, y, current, bound,
-                                                 &av.prunedInserts);
-                if constexpr (kSeedableDomain) {
-                    if (seed != nullptr && seed->current != nullptr) {
-                        // Remember this frame's matches for frame t+1.
-                        SeedStore &cs = *seed->current;
-                        SeedPos *slot =
-                            cs.pos.data() + ref_idx * cs.capacity();
-                        const int n =
-                            std::min(current.size(), cs.capacity());
-                        for (int k = 0; k < n; ++k) {
-                            slot[k] = SeedPos{
-                                static_cast<uint16_t>(current[k].x),
-                                static_cast<uint16_t>(current[k].y)};
-                        }
-                        cs.count[ref_idx] = static_cast<uint8_t>(n);
-                    }
-                }
-                if (stage == Stage::HardThreshold) {
-                    ++mr.bm1Refs;
-                    // Seed hits are counted separately; MR stats keep
-                    // their single-frame (Fig. 10) meaning.
-                    mr.bm1Hits += (hit && !seed_hit) ? 1 : 0;
-                    mr.bm1VertHits += vert_hit ? 1 : 0;
-                    mr.bm1Candidates += candidates;
-                } else {
-                    ++mr.bm2Refs;
-                    mr.bm2Hits += hit ? 1 : 0;
-                    mr.bm2VertHits += vert_hit ? 1 : 0;
-                    mr.bm2Candidates += candidates;
-                }
-                carry = current.worstDistance();
+                carry = row[i].worstDistance();
             }
         }
-        engine.processRow(row, w, agg);
+        ws.engine->processRow(row, w, agg);
         if (across_rows) {
             std::swap(row, row_above);
             have_row_above = true;
         }
     }
-    profile.mr() += mr;
-    profile.adaptive() += av;
-
-    // Per-worker MR counters into the process-wide registry: each
-    // executor writes its own shard (no contention), one update per
-    // tile. Fig. 10's hit rates are then readable from any embedding
-    // harness without threading a Profile through it.
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    if (stage == Stage::HardThreshold) {
-        reg.add("bm3d.mr.bm1Refs", static_cast<double>(mr.bm1Refs));
-        reg.add("bm3d.mr.bm1Hits", static_cast<double>(mr.bm1Hits));
-        reg.add("bm3d.mr.bm1Candidates",
-                static_cast<double>(mr.bm1Candidates));
-    } else {
-        reg.add("bm3d.mr.bm2Refs", static_cast<double>(mr.bm2Refs));
-        reg.add("bm3d.mr.bm2Hits", static_cast<double>(mr.bm2Hits));
-        reg.add("bm3d.mr.bm2Candidates",
-                static_cast<double>(mr.bm2Candidates));
-    }
-    reg.add("bm3d.adaptive.prunedInserts",
-            static_cast<double>(av.prunedInserts));
-    if constexpr (kSeedableDomain) {
-        if (seed != nullptr && seed->previous != nullptr) {
-            seed->refs.fetch_add(seed_refs, std::memory_order_relaxed);
-            seed->hits.fetch_add(seed_hits, std::memory_order_relaxed);
-            reg.add("bm3d.seed.refs", static_cast<double>(seed_refs));
-            reg.add("bm3d.seed.hits", static_cast<double>(seed_hits));
-        }
-    }
-
-    // Block-matching op accounting: each candidate distance costs
-    // PD^2 subtract + multiply + add (Eq. 2).
-    OpCounters ops;
-    const uint64_t pp =
-        static_cast<uint64_t>(cfg.patchSize) * cfg.patchSize;
-    const uint64_t cand = stage == Stage::HardThreshold
-                              ? mr.bm1Candidates
-                              : mr.bm2Candidates;
-    ops.additions += cand * pp * 2;
-    ops.multiplies += cand * pp;
-    ops.memoryReads += cand * pp * 2;
-    profile.addOps(bm_step, ops);
-}
-
-/**
- * Coarse-to-fine variant of processTile (variant.coarseToFine).
- *
- * Pass 1 searches the subsampled reference grid — every coarseStride-th
- * tile row and column, tile edges always included — and stores the
- * match lists without aggregating anything. The tile's mean stack
- * residual then picks between staying coarse and densifying. Pass 2
- * aggregates strictly in row-major full-grid order, in processTile's
- * two phases per row (search the row's fine positions on demand next
- * to the stored lists, then denoise them), so a densified tile
- * reproduces the dense scan's floating-point aggregation tree bit for
- * bit: densifyThreshold <= 0 (densify everything) is bitwise equal to
- * the full-stride output. MR is rejected by validate() for this path;
- * temporal seeding composes — skipped references get their seed slot
- * invalidated (count 0, NaN descriptor) so frame t+1's closeness check
- * cannot hit on stale state.
- */
-template <typename Domain>
-void
-processTileCoarse(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
-                  const BlockMatcher<Domain> &matcher,
-                  const std::vector<int> &xs, const std::vector<int> &ys,
-                  const parallel::Tile &tile, DenoiseEngine &engine,
-                  Aggregator &agg, Profile &profile,
-                  std::vector<MatchList> &lists,
-                  std::vector<uint8_t> &searched, TemporalSeed *seed)
-{
-    const Step bm_step =
-        stage == Stage::HardThreshold ? Step::Bm1 : Step::Bm2;
-    const int w = tile.width();
-    const int stride = cfg.variant.coarseStride;
-    const float tau = matcher.tauMatch();
-    const float bound_floor = kAdaptiveBoundFloor * tau;
-    const size_t grid_x = xs.size();
-    constexpr bool kSeedableDomain =
-        std::is_same_v<Domain, DctMatchDomain>;
-
-    lists.assign(static_cast<size_t>(w) * tile.height(),
-                 MatchList(cfg.maxMatches));
-    searched.assign(lists.size(), 0);
-
-    AdaptiveStats av;
-    uint64_t seed_refs = 0;
-    uint64_t seed_hits = 0;
-    uint64_t candidates = 0;
-    uint64_t refs = 0;
-    double residual_sum = 0.0;
-    int coarse_count = 0;
-
-    // Pass 1: subsampled searches, match lists stored, no aggregation.
-    for (int yi = tile.y0; yi < tile.y1;
-         yi = nextCoarseIndex(yi, tile.y1, stride)) {
-        ScopedTimer timer(profile, bm_step);
-        const int y = ys[yi];
-        const size_t row0 = static_cast<size_t>(yi - tile.y0) * w;
-        float carry = std::numeric_limits<float>::infinity();
-        for (int xi = tile.x0; xi < tile.x1;
-             xi = nextCoarseIndex(xi, tile.x1, stride)) {
-            const size_t ref_idx = static_cast<size_t>(yi) * grid_x + xi;
-            const size_t li = row0 + (xi - tile.x0);
-            const float bound =
-                adaptiveBoundFrom(cfg.variant, carry, bound_floor);
-            bool seed_hit = false;
-            candidates += searchReference(
-                domain, matcher, seed, ref_idx, xs[xi], y, bound, lists[li],
-                av.prunedInserts, seed_refs, seed_hits, seed_hit);
-            carry = lists[li].worstDistance();
-            searched[li] = 1;
-            ++refs;
-            ++coarse_count;
-            residual_sum += stackResidual(lists[li], tau, cfg.maxMatches);
-        }
-    }
-
-    const float residual =
-        coarse_count > 0
-            ? static_cast<float>(residual_sum / coarse_count)
-            : 0.0f;
-    const bool densify = residual >= cfg.variant.densifyThreshold;
-    if (densify)
-        ++av.tilesDensified;
-    else
-        ++av.tilesCoarse;
-
-    // Pass 2, row by row in full-grid order: search the cells pass 1
-    // skipped when the residual asked for them, then denoise the row.
-    // Cells left unsearched hold empty lists, which denoise nothing.
-    for (int yi = tile.y0; yi < tile.y1; ++yi) {
-        const int y = ys[yi];
-        const size_t row0 = static_cast<size_t>(yi - tile.y0) * w;
-        {
-            ScopedTimer timer(profile, bm_step);
-            float carry = std::numeric_limits<float>::infinity();
-            for (int xi = tile.x0; xi < tile.x1; ++xi) {
-                const size_t ref_idx =
-                    static_cast<size_t>(yi) * grid_x + xi;
-                const size_t li = row0 + (xi - tile.x0);
-                if (searched[li]) {
-                    carry = lists[li].worstDistance();
-                } else if (densify) {
-                    const float bound =
-                        adaptiveBoundFrom(cfg.variant, carry, bound_floor);
-                    bool seed_hit = false;
-                    candidates += searchReference(
-                        domain, matcher, seed, ref_idx, xs[xi], y, bound,
-                        lists[li], av.prunedInserts, seed_refs, seed_hits,
-                        seed_hit);
-                    carry = lists[li].worstDistance();
-                    ++refs;
-                } else {
-                    ++av.refsSkipped;
-                    if constexpr (kSeedableDomain) {
-                        if (seed != nullptr && seed->current != nullptr) {
-                            SeedStore &cs = *seed->current;
-                            cs.count[ref_idx] = 0;
-                            float *desc =
-                                cs.refDesc.data() +
-                                ref_idx * domain.patchCoefs();
-                            std::fill(
-                                desc, desc + domain.patchCoefs(),
-                                std::numeric_limits<float>::quiet_NaN());
-                        }
-                    }
-                }
-            }
-        }
-        engine.processRow(lists.data() + row0, w, agg);
-    }
-
-    MrStats mr;
-    if (stage == Stage::HardThreshold) {
-        mr.bm1Refs = refs;
-        mr.bm1Candidates = candidates;
-    } else {
-        mr.bm2Refs = refs;
-        mr.bm2Candidates = candidates;
-    }
-    profile.mr() += mr;
-    profile.adaptive() += av;
-
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    if (stage == Stage::HardThreshold) {
-        reg.add("bm3d.mr.bm1Refs", static_cast<double>(mr.bm1Refs));
-        reg.add("bm3d.mr.bm1Hits", 0.0);
-        reg.add("bm3d.mr.bm1Candidates",
-                static_cast<double>(mr.bm1Candidates));
-    } else {
-        reg.add("bm3d.mr.bm2Refs", static_cast<double>(mr.bm2Refs));
-        reg.add("bm3d.mr.bm2Hits", 0.0);
-        reg.add("bm3d.mr.bm2Candidates",
-                static_cast<double>(mr.bm2Candidates));
-    }
-    reg.add("bm3d.adaptive.prunedInserts",
-            static_cast<double>(av.prunedInserts));
-    reg.add("bm3d.adaptive.tilesCoarse",
-            static_cast<double>(av.tilesCoarse));
-    reg.add("bm3d.adaptive.tilesDensified",
-            static_cast<double>(av.tilesDensified));
-    reg.add("bm3d.adaptive.refsSkipped",
-            static_cast<double>(av.refsSkipped));
-    if constexpr (kSeedableDomain) {
-        if (seed != nullptr && seed->previous != nullptr) {
-            seed->refs.fetch_add(seed_refs, std::memory_order_relaxed);
-            seed->hits.fetch_add(seed_hits, std::memory_order_relaxed);
-            reg.add("bm3d.seed.refs", static_cast<double>(seed_refs));
-            reg.add("bm3d.seed.hits", static_cast<double>(seed_hits));
-        }
-    }
-
-    OpCounters ops;
-    const uint64_t pp =
-        static_cast<uint64_t>(cfg.patchSize) * cfg.patchSize;
-    ops.additions += candidates * pp * 2;
-    ops.multiplies += candidates * pp;
-    ops.memoryReads += candidates * pp * 2;
-    profile.addOps(bm_step, ops);
+    ws.profile.mr() += mr;
+    ws.profile.adaptive() += av;
+    ws.seedRefs += seed_refs;
+    ws.seedHits += seed_hits;
 }
 
 /**
@@ -674,16 +457,8 @@ class StageRunner
                                r.y1 + cfg_.patchSize - r.y0,
                                noisy_.channels());
                 ws.engine->prepareTile(r.x0, r.y0, r.x1, r.y1);
-                if (cfg_.variant.coarseToFine) {
-                    processTileCoarse(cfg_, stage_, domain_, matcher_,
-                                      xs_, ys_, tile, *ws.engine, agg,
-                                      ws.profile, ws.lists,
-                                      ws.coarseSearched, opts_.seed);
-                } else {
-                    processTile(cfg_, stage_, domain_, matcher_, xs_,
-                                ys_, tile, *ws.engine, agg, ws.profile,
-                                ws.lists, opts_.seed);
-                }
+                processTile(cfg_, stage_, domain_, matcher_, xs_, ys_, tile,
+                            agg, ws, opts_.seed);
 
                 std::lock_guard<std::mutex> lock(mergeMutex_);
                 pending_[ti].emplace(std::move(agg));
@@ -697,19 +472,28 @@ class StageRunner
     }
 
     /**
-     * Flush per-worker profiles and the fused-datapath counters into
-     * the process-wide registry (summed over workers, so the totals
-     * are thread-count and banding invariant). Call exactly once,
-     * after the last runTileRange().
+     * Flush the per-worker profiles into @p profile, charge the stage's
+     * block-matching ops, and export the stage's MR, adaptive, seed and
+     * fused-datapath counters into the process-wide registry, so Fig.
+     * 10's hit rates are readable from any embedding harness without
+     * threading a Profile through it. Summed over workers, the totals
+     * are thread-count and banding invariant. Call exactly once, after
+     * the last runTileRange().
      */
     void
     finishStats(Profile &profile)
     {
-        for (const WorkerScratch &ws : workers_)
-            profile += ws.profile;
-
+        MrStats mr;
+        AdaptiveStats av;
+        uint64_t seed_refs = 0;
+        uint64_t seed_hits = 0;
         DenoiseEngine::GroupStats group;
         for (const WorkerScratch &ws : workers_) {
+            profile += ws.profile;
+            mr += ws.profile.mr();
+            av += ws.profile.adaptive();
+            seed_refs += ws.seedRefs;
+            seed_hits += ws.seedHits;
             if (!ws.engine)
                 continue;
             const DenoiseEngine::GroupStats &g = ws.engine->groupStats();
@@ -718,15 +502,51 @@ class StageRunner
             group.fusedStacksI16 += g.fusedStacksI16;
             group.legacyStacks += g.legacyStacks;
         }
-        obs::MetricsRegistry &greg = obs::MetricsRegistry::global();
-        greg.add("bm3d.group.fusedStacks",
-                 static_cast<double>(group.fusedStacks));
-        greg.add("bm3d.group.fusedPatches",
-                 static_cast<double>(group.fusedPatches));
-        greg.add("bm3d.group.fusedStacksI16",
-                 static_cast<double>(group.fusedStacksI16));
-        greg.add("bm3d.group.legacyStacks",
-                 static_cast<double>(group.legacyStacks));
+        const bool hard = stage_ == Stage::HardThreshold;
+
+        // Block-matching op accounting: each candidate distance costs
+        // PD^2 subtract + multiply + add (Eq. 2).
+        const uint64_t cand = hard ? mr.bm1Candidates : mr.bm2Candidates;
+        const uint64_t pp =
+            static_cast<uint64_t>(cfg_.patchSize) * cfg_.patchSize;
+        OpCounters ops;
+        ops.additions = cand * pp * 2;
+        ops.multiplies = cand * pp;
+        ops.memoryReads = cand * pp * 2;
+        profile.addOps(hard ? Step::Bm1 : Step::Bm2, ops);
+
+        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+        auto add = [&reg](const char *name, uint64_t value) {
+            reg.add(name, static_cast<double>(value));
+        };
+        if (hard) {
+            add("bm3d.mr.bm1Refs", mr.bm1Refs);
+            add("bm3d.mr.bm1Hits", mr.bm1Hits);
+            add("bm3d.mr.bm1Candidates", mr.bm1Candidates);
+        } else {
+            add("bm3d.mr.bm2Refs", mr.bm2Refs);
+            add("bm3d.mr.bm2Hits", mr.bm2Hits);
+            add("bm3d.mr.bm2Candidates", mr.bm2Candidates);
+        }
+        add("bm3d.adaptive.prunedInserts", av.prunedInserts);
+        if (cfg_.variant.coarseToFine) {
+            add("bm3d.adaptive.tilesCoarse", av.tilesCoarse);
+            add("bm3d.adaptive.tilesDensified", av.tilesDensified);
+            add("bm3d.adaptive.refsSkipped", av.refsSkipped);
+        }
+        if constexpr (kSeedable<Domain>) {
+            TemporalSeed *seed = opts_.seed;
+            if (seed != nullptr && seed->previous != nullptr) {
+                seed->refs.fetch_add(seed_refs, std::memory_order_relaxed);
+                seed->hits.fetch_add(seed_hits, std::memory_order_relaxed);
+                add("bm3d.seed.refs", seed_refs);
+                add("bm3d.seed.hits", seed_hits);
+            }
+        }
+        add("bm3d.group.fusedStacks", group.fusedStacks);
+        add("bm3d.group.fusedPatches", group.fusedPatches);
+        add("bm3d.group.fusedStacksI16", group.fusedStacksI16);
+        add("bm3d.group.legacyStacks", group.legacyStacks);
     }
 
     /** total_.finalize over the stage's fallback image. */

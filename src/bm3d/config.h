@@ -322,7 +322,7 @@ struct Bm3dConfig
             throw std::invalid_argument("sharpenAlpha must be >= 1");
         if (tileGrain < 1)
             throw std::invalid_argument("tileGrain must be >= 1");
-        if (band.enabled && band.rows < 1)
+        if (band.rows < 1)
             throw std::invalid_argument("band.rows must be >= 1");
         if (precision == Precision::Int16 && patchSize != 4)
             throw std::invalid_argument(

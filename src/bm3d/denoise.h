@@ -165,16 +165,9 @@ class DenoiseEngine
      */
     void processRow(const MatchList *lists, int count, Aggregator &agg);
 
-    /** processRow over the one stack described by @p matches. */
-    void
-    processStack(const MatchList &matches, Aggregator &agg)
-    {
-        processRow(&matches, 1, agg);
-    }
-
     /**
      * Group-major fused datapath traffic (DESIGN §12), accumulated
-     * across processStack calls. The stage runner flushes these into
+     * across processRow calls. The stage runner flushes these into
      * obs::MetricsRegistry as the bm3d.group.* counters; totals are
      * thread-count invariant.
      */

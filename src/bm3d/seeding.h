@@ -91,8 +91,8 @@ class SeedStore
  * via StageOptions: read the previous frame's store (null for the
  * first frame), write the current frame's. Reads and writes index the
  * same deterministic reference grid, and every cell is written by
- * exactly one tile, so parallel tiles never contend. The counters are
- * relaxed atomics accumulated once per tile.
+ * exactly one tile, so parallel tiles never contend. The stage runner
+ * adds the counters once per stage, after its last tile.
  */
 struct TemporalSeed
 {

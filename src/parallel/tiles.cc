@@ -6,6 +6,18 @@
 namespace ideal {
 namespace parallel {
 
+namespace {
+
+/** ceil(n / d) for n >= 0 and d >= 1, without the signed overflow of
+    (n + d - 1) / d when either operand is near INT_MAX. */
+int
+ceilDiv(int n, int d)
+{
+    return n / d + (n % d != 0 ? 1 : 0);
+}
+
+} // namespace
+
 std::vector<Tile>
 makeTiles(int nx, int ny, int grain)
 {
@@ -14,16 +26,16 @@ makeTiles(int nx, int ny, int grain)
     std::vector<Tile> tiles;
     if (nx <= 0 || ny <= 0)
         return tiles;
-    const int tiles_x = (nx + grain - 1) / grain;
-    const int tiles_y = (ny + grain - 1) / grain;
+    const int tiles_x = ceilDiv(nx, grain);
+    const int tiles_y = ceilDiv(ny, grain);
     tiles.reserve(static_cast<size_t>(tiles_x) * tiles_y);
     for (int ty = 0; ty < tiles_y; ++ty) {
         for (int tx = 0; tx < tiles_x; ++tx) {
             Tile t;
             t.x0 = tx * grain;
-            t.x1 = std::min(nx, t.x0 + grain);
+            t.x1 = t.x0 + std::min(grain, nx - t.x0);
             t.y0 = ty * grain;
-            t.y1 = std::min(ny, t.y0 + grain);
+            t.y1 = t.y0 + std::min(grain, ny - t.y0);
             tiles.push_back(t);
         }
     }
@@ -39,19 +51,20 @@ makeTileBands(int nx, int ny, int grain, int rows_per_band)
     if (nx <= 0 || ny <= 0)
         return bands;
     rows_per_band = std::max(1, rows_per_band);
-    const int tiles_x = (nx + grain - 1) / grain;
-    const int tiles_y = (ny + grain - 1) / grain;
+    const int tiles_x = ceilDiv(nx, grain);
+    const int tiles_y = ceilDiv(ny, grain);
     // Whole tile rows per band, covering at least rows_per_band
     // y-indices (each tile row spans `grain` of them, except the last).
-    const int tile_rows = (rows_per_band + grain - 1) / grain;
-    for (int ty = 0; ty < tiles_y; ty += tile_rows) {
-        const int ty_end = std::min(tiles_y, ty + tile_rows);
+    const int tile_rows = ceilDiv(rows_per_band, grain);
+    for (int ty = 0; ty < tiles_y;) {
+        const int ty_end = ty + std::min(tile_rows, tiles_y - ty);
         TileBand b;
         b.firstTile = ty * tiles_x;
         b.lastTile = ty_end * tiles_x;
         b.y0 = ty * grain;
-        b.y1 = std::min(ny, ty_end * grain);
+        b.y1 = ty_end < tiles_y ? ty_end * grain : ny;
         bands.push_back(b);
+        ty = ty_end;
     }
     return bands;
 }

@@ -12,7 +12,9 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 
@@ -296,6 +298,26 @@ TEST(Bm3d, MultithreadedMatchesSingleThread)
     // count: outputs are bitwise identical, not merely close.
     EXPECT_EQ(image::maxAbsDiff(r1.basic, r4.basic), 0.0);
     EXPECT_EQ(image::maxAbsDiff(r1.output, r4.output), 0.0);
+}
+
+TEST(Bm3d, IntMaxTileGrainMatchesCoveringGrain)
+{
+    // Neither tileGrain nor band.rows has an upper bound: INT_MAX must
+    // cut the same single tile (and band) as the smallest grain that
+    // covers the 37 x 37 reference grid.
+    auto scene = makeTestScene(image::SceneKind::Street, 40, 25.0f, 21);
+    for (bool banded : {false, true}) {
+        Bm3dConfig cfg = smallConfig();
+        cfg.numThreads = 2;
+        cfg.band.enabled = banded;
+        cfg.band.rows = INT_MAX;
+        cfg.tileGrain = 37;
+        const auto covering = Bm3d(cfg).denoise(scene.noisy);
+        cfg.tileGrain = INT_MAX;
+        const auto huge = Bm3d(cfg).denoise(scene.noisy);
+        EXPECT_TRUE(covering.basic.raw() == huge.basic.raw()) << banded;
+        EXPECT_TRUE(covering.output.raw() == huge.output.raw()) << banded;
+    }
 }
 
 TEST(Bm3d, FixedPointCloseToFloat)
@@ -747,8 +769,8 @@ TEST(Bm3dConfig, RejectsBadBandRows)
     cfg.band.enabled = true;
     cfg.band.rows = 0;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.band.enabled = false; // knob only checked when the schedule is on
-    EXPECT_NO_THROW(cfg.validate());
+    cfg.band.enabled = false; // rejected whether or not the schedule is on
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(Bm3dBand, BitwiseMatrixAcrossLevelsThreadsPrecisions)
@@ -1000,14 +1022,38 @@ TEST(Bm3d, StepSecondsSumToAtMostWallTime)
 namespace {
 
 /**
+ * Indices [0, n) of the coarse-to-fine walk: every @p stride-th one
+ * from 0, and always n - 1.
+ */
+std::vector<size_t>
+coarseWalk(size_t n, int stride)
+{
+    std::vector<size_t> walk;
+    for (size_t i = 0; i < n; i += static_cast<size_t>(stride))
+        walk.push_back(i);
+    if (walk.back() != n - 1)
+        walk.push_back(n - 1);
+    return walk;
+}
+
+/**
  * One stage written out as the per-reference loop, independent of the
  * tiled runner: for each reference in row-major order, search (MR
  * reuse of the left neighbour, then of the reference above under
  * acrossRows, then the temporal seed, else the window scan under the
- * adaptive bound carried along the row), then
- * DenoiseEngine::processStack into one full-image Aggregator. With one
- * tile (1 thread, tileGrain >= the grid) the runner must produce the
- * same floats. Only the float DCT domain seeds.
+ * adaptive bound carried along the row), then denoise its stack into
+ * one full-image Aggregator. With one tile (1 thread, tileGrain >= the
+ * grid) the runner must produce the same floats. Only the float DCT
+ * domain seeds.
+ *
+ * Under variant.coarseToFine the whole grid is that one tile. A first
+ * pass searches every coarseStride-th row and column, the last of each
+ * always included, with its own bound carry along each of its rows.
+ * The tile densifies when the mean stack residual of those searches
+ * reaches densifyThreshold. The row-major pass then keeps the first
+ * pass's lists and searches the other references if the tile densified;
+ * otherwise it skips them: they denoise nothing, and their seed slots
+ * get count 0 and a NaN descriptor.
  */
 template <typename Domain>
 image::ImageF
@@ -1034,71 +1080,115 @@ referenceStageLoop(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     constexpr bool kSeedable =
         std::is_same_v<Domain, bm3d::DctMatchDomain>;
     EXPECT_TRUE(kSeedable || seed == nullptr);
-    std::vector<bm3d::MatchList> above(xs.size());
-    for (size_t yi = 0; yi < ys.size(); ++yi) {
+    const size_t nx = xs.size();
+    const size_t ny = ys.size();
+    std::vector<bm3d::MatchList> lists(nx * ny);
+
+    // Search reference (xi, yi) into its list, with @p worst the kept
+    // distance carried from the previous search, and record the result
+    // in the seed store.
+    auto search = [&](size_t xi, size_t yi, float worst) {
+        const int x = xs[xi];
         const int y = ys[yi];
-        bm3d::MatchList left;
+        const size_t cell = yi * nx + xi;
+        float bound = std::numeric_limits<float>::infinity();
+        if (cfg.variant.adaptiveBound &&
+            std::isfinite(cfg.variant.boundMargin) && std::isfinite(worst))
+            bound = std::max(worst * cfg.variant.boundMargin, 0.125f * tau);
+        float desc[64];
+        if constexpr (kSeedable) {
+            if (seed != nullptr)
+                domain.gatherRef(x, y, desc);
+        }
+
+        bm3d::MatchList &list = lists[cell];
+        bool found = false;
+        if (cfg.mr.enabled && xi > 0 &&
+            matcher.referenceDistance(x, y, xs[xi - 1], y) < reuse) {
+            matcher.searchReuse(x, y, lists[cell - 1], list);
+            found = true;
+        }
+        if (!found && cfg.mr.enabled && cfg.mr.acrossRows && yi > 0 &&
+            matcher.referenceDistance(x, y, x, ys[yi - 1]) < reuse) {
+            matcher.searchReuseDown(x, y, lists[cell - nx], list);
+            found = true;
+        }
+        if (kSeedable && !found && seed != nullptr &&
+            seed->previous != nullptr) {
+            const float *prev = seed->previous->refDesc.data() + cell * coefs;
+            float ssd = 0.0f;
+            for (int k = 0; k < coefs; ++k)
+                ssd += (desc[k] - prev[k]) * (desc[k] - prev[k]);
+            if (ssd / static_cast<float>(coefs) < seed->reuseBound) {
+                matcher.searchSeeded(x, y, seed->previous->cell(cell),
+                                     seed->previous->count[cell],
+                                     seed->window, list, bound, nullptr);
+                found = true;
+            }
+        }
+        if (!found)
+            matcher.search(x, y, list, bound, nullptr);
+        if (kSeedable && seed != nullptr && seed->current != nullptr) {
+            bm3d::SeedStore &store = *seed->current;
+            std::copy(desc, desc + coefs,
+                      store.refDesc.data() + cell * coefs);
+            const int n = std::min(list.size(), store.capacity());
+            for (int k = 0; k < n; ++k)
+                store.pos[cell * store.capacity() + k] =
+                    bm3d::SeedPos{static_cast<uint16_t>(list[k].x),
+                                  static_cast<uint16_t>(list[k].y)};
+            store.count[cell] = static_cast<uint8_t>(n);
+        }
+    };
+
+    std::vector<char> searched(nx * ny, 0);
+    bool densify = true;
+    if (cfg.variant.coarseToFine) {
+        const std::vector<size_t> rows =
+            coarseWalk(ny, cfg.variant.coarseStride);
+        const std::vector<size_t> cols =
+            coarseWalk(nx, cfg.variant.coarseStride);
+        double residual = 0.0;
+        for (size_t yi : rows) {
+            float worst = std::numeric_limits<float>::infinity();
+            for (size_t xi : cols) {
+                const size_t cell = yi * nx + xi;
+                search(xi, yi, worst);
+                searched[cell] = 1;
+                const bm3d::MatchList &list = lists[cell];
+                worst = list.worstDistance();
+                // Mean kept distance, each unfilled slot charged at tau.
+                float sum = 0.0f;
+                for (const bm3d::Match &m : list)
+                    sum += std::min(m.distance, tau);
+                sum += static_cast<float>(cfg.maxMatches - list.size()) * tau;
+                residual += sum / (static_cast<float>(cfg.maxMatches) * tau);
+            }
+        }
+        densify = static_cast<float>(residual / static_cast<double>(
+                                                    rows.size() *
+                                                    cols.size())) >=
+                  cfg.variant.densifyThreshold;
+    }
+
+    for (size_t yi = 0; yi < ny; ++yi) {
         float worst = std::numeric_limits<float>::infinity();
-        for (size_t xi = 0; xi < xs.size(); ++xi) {
-            const int x = xs[xi];
-            const size_t cell = yi * xs.size() + xi;
-            float bound = std::numeric_limits<float>::infinity();
-            if (cfg.variant.adaptiveBound &&
-                std::isfinite(cfg.variant.boundMargin) &&
-                std::isfinite(worst))
-                bound = std::max(worst * cfg.variant.boundMargin,
-                                 0.125f * tau);
-            float desc[64];
-            if constexpr (kSeedable) {
-                if (seed != nullptr)
-                    domain.gatherRef(x, y, desc);
-            }
-
-            bm3d::MatchList list;
-            bool found = false;
-            if (cfg.mr.enabled && xi > 0 &&
-                matcher.referenceDistance(x, y, xs[xi - 1], y) < reuse) {
-                matcher.searchReuse(x, y, left, list);
-                found = true;
-            }
-            if (!found && cfg.mr.enabled && cfg.mr.acrossRows && yi > 0 &&
-                matcher.referenceDistance(x, y, x, ys[yi - 1]) < reuse) {
-                matcher.searchReuseDown(x, y, above[xi], list);
-                found = true;
-            }
-            if (kSeedable && !found && seed != nullptr &&
-                seed->previous != nullptr) {
-                const float *prev =
-                    seed->previous->refDesc.data() + cell * coefs;
-                float ssd = 0.0f;
-                for (int k = 0; k < coefs; ++k)
-                    ssd += (desc[k] - prev[k]) * (desc[k] - prev[k]);
-                if (ssd / static_cast<float>(coefs) < seed->reuseBound) {
-                    matcher.searchSeeded(x, y, seed->previous->cell(cell),
-                                         seed->previous->count[cell],
-                                         seed->window, list, bound,
-                                         nullptr);
-                    found = true;
+        for (size_t xi = 0; xi < nx; ++xi) {
+            const size_t cell = yi * nx + xi;
+            if (!searched[cell] && !densify) {
+                if (kSeedable && seed != nullptr &&
+                    seed->current != nullptr) {
+                    bm3d::SeedStore &store = *seed->current;
+                    store.count[cell] = 0;
+                    std::fill_n(store.refDesc.data() + cell * coefs, coefs,
+                                std::numeric_limits<float>::quiet_NaN());
                 }
+                continue;
             }
-            if (!found)
-                matcher.search(x, y, list, bound, nullptr);
-            if (kSeedable && seed != nullptr && seed->current != nullptr) {
-                bm3d::SeedStore &store = *seed->current;
-                std::copy(desc, desc + coefs,
-                          store.refDesc.data() + cell * coefs);
-                const int n = std::min(list.size(), store.capacity());
-                for (int k = 0; k < n; ++k)
-                    store.pos[cell * store.capacity() + k] =
-                        bm3d::SeedPos{static_cast<uint16_t>(list[k].x),
-                                      static_cast<uint16_t>(list[k].y)};
-                store.count[cell] = static_cast<uint8_t>(n);
-            }
-
-            engine.processStack(list, agg);
-            worst = list.worstDistance();
-            left = list;
-            above[xi] = list;
+            if (!searched[cell])
+                search(xi, yi, worst);
+            engine.processRow(&lists[cell], 1, agg);
+            worst = lists[cell].worstDistance();
         }
     }
     return agg.finalize(stage == Stage::Wiener ? *basic : noisy);
@@ -1178,15 +1268,42 @@ TEST(Bm3dStageLoop, MatchesReferenceLoopWithAdaptiveBound)
     EXPECT_TRUE(out.raw() == referenceStageOne(cfg, scene.noisy).raw());
 }
 
-TEST(Bm3dStageLoop, MatchesReferenceLoopOnSeededSecondFrame)
+namespace {
+
+/** True when two seed stores hold the same counts, positions and
+    descriptor bits (NaN descriptors included). */
+bool
+sameSeedStore(const bm3d::SeedStore &a, const bm3d::SeedStore &b)
+{
+    if (a.count != b.count || a.refDesc.size() != b.refDesc.size())
+        return false;
+    for (size_t cell = 0; cell < a.count.size(); ++cell) {
+        for (int k = 0; k < a.count[cell]; ++k) {
+            const bm3d::SeedPos &pa = a.cell(cell)[k];
+            const bm3d::SeedPos &pb = b.cell(cell)[k];
+            if (pa.x != pb.x || pa.y != pb.y)
+                return false;
+        }
+    }
+    return std::memcmp(a.refDesc.data(), b.refDesc.data(),
+                       a.refDesc.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Denoise two noisy frames of one clean scene through the runner and
+ * through the reference loop, each carrying its own seed stores from
+ * frame 0 into frame 1, and expect equal outputs and equal stores.
+ * @return frame 1's runner profile
+ */
+bm3d::Profile
+expectSeededFramesMatchReferenceLoop(const Bm3dConfig &cfg, uint64_t seed)
 {
     const int size = 40;
     const image::ImageF clean =
-        image::makeScene(image::SceneKind::Nature, size, size, 1, 63);
+        image::makeScene(image::SceneKind::Nature, size, size, 1, seed);
     const image::ImageF frames[2] = {
-        image::addGaussianNoise(clean, 25.0f, 64),
-        image::addGaussianNoise(clean, 25.0f, 65)};
-    const Bm3dConfig cfg = oneTileConfig(size);
+        image::addGaussianNoise(clean, 25.0f, seed + 1),
+        image::addGaussianNoise(clean, 25.0f, seed + 2)};
     const Bm3d denoiser(cfg);
     bm3d::DctPatchField geometry;
     buildStageOneField(cfg, frames[0], geometry);
@@ -1197,10 +1314,9 @@ TEST(Bm3dStageLoop, MatchesReferenceLoopOnSeededSecondFrame)
         bm3d::makeRefPositions(geometry.positionsY() - 1, cfg.refStride)
             .size());
 
-    // The runner and the reference loop each carry their own stores
-    // from frame 0 into frame 1.
     bm3d::SeedStore run_stores[2];
     bm3d::SeedStore ref_stores[2];
+    bm3d::Profile profile;
     for (int f = 0; f < 2; ++f) {
         bm3d::TemporalSeed run_seed;
         bm3d::TemporalSeed ref_seed;
@@ -1218,16 +1334,88 @@ TEST(Bm3dStageLoop, MatchesReferenceLoopOnSeededSecondFrame)
         }
         bm3d::StageOptions opts;
         opts.seed = &run_seed;
-        bm3d::Profile profile;
+        profile = bm3d::Profile();
         const image::ImageF out = denoiser.runStage(
             Stage::HardThreshold, frames[f], nullptr, profile, opts);
         if (f > 0) {
-            ASSERT_GT(run_seed.hits.load(), 0u);
+            EXPECT_GT(run_seed.hits.load(), 0u);
         }
         EXPECT_TRUE(out.raw() ==
                     referenceStageOne(cfg, frames[f], &ref_seed).raw())
             << "frame " << f;
+        EXPECT_TRUE(sameSeedStore(run_stores[f], ref_stores[f]))
+            << "frame " << f;
     }
+    return profile;
+}
+
+/** oneTileConfig on the coarse-to-fine grid at @p threshold. */
+Bm3dConfig
+coarseTileConfig(int size, float threshold)
+{
+    Bm3dConfig cfg = oneTileConfig(size);
+    cfg.variant.coarseToFine = true;
+    cfg.variant.coarseStride = 3;
+    cfg.variant.densifyThreshold = threshold;
+    return cfg;
+}
+
+} // namespace
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopOnSeededSecondFrame)
+{
+    expectSeededFramesMatchReferenceLoop(oneTileConfig(40), 63);
+}
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopOnCoarseTile)
+{
+    // A tile that stays coarse: the skipped references denoise nothing.
+    const auto scene = makeTestScene(image::SceneKind::Nature, 40, 25.0f,
+                                     68, /*channels=*/3);
+    const Bm3dConfig cfg = coarseTileConfig(40, 0.9f);
+    bm3d::Profile profile;
+    const image::ImageF out = Bm3d(cfg).runStage(
+        Stage::HardThreshold, scene.noisy, nullptr, profile);
+    ASSERT_EQ(profile.adaptive().tilesCoarse, 1u);
+    ASSERT_GT(profile.adaptive().refsSkipped, 0u);
+    EXPECT_TRUE(out.raw() == referenceStageOne(cfg, scene.noisy).raw());
+}
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopOnDensifiedCoarseTile)
+{
+    // A tile that densifies under the adaptive bound. The first pass
+    // carries its bound between cells coarseStride apart, so its lists
+    // need not be the dense scan's, and neither need the output be.
+    const auto scene =
+        makeTestScene(image::SceneKind::Street, 40, 25.0f, 69);
+    Bm3dConfig cfg = coarseTileConfig(40, 0.05f);
+    cfg.variant.adaptiveBound = true;
+    cfg.variant.boundMargin = 1.5f;
+    bm3d::Profile profile;
+    const image::ImageF out = Bm3d(cfg).runStage(
+        Stage::HardThreshold, scene.noisy, nullptr, profile);
+    ASSERT_EQ(profile.adaptive().tilesDensified, 1u);
+    ASSERT_GT(profile.adaptive().prunedInserts, 0u);
+    Bm3dConfig dense = cfg;
+    dense.variant.coarseToFine = false;
+    bm3d::Profile dense_profile;
+    ASSERT_FALSE(out.raw() == Bm3d(dense)
+                                  .runStage(Stage::HardThreshold,
+                                            scene.noisy, nullptr,
+                                            dense_profile)
+                                  .raw());
+    EXPECT_TRUE(out.raw() == referenceStageOne(cfg, scene.noisy).raw());
+}
+
+TEST(Bm3dStageLoop, MatchesReferenceLoopOnSeededCoarseSecondFrame)
+{
+    // Both frames stay coarse: frame 1 checks its searched references
+    // against frame 0's stored descriptors, and both frames store count
+    // 0 and NaN descriptors for the skipped ones.
+    const bm3d::Profile profile =
+        expectSeededFramesMatchReferenceLoop(coarseTileConfig(40, 0.9f), 70);
+    EXPECT_EQ(profile.adaptive().tilesCoarse, 1u);
+    EXPECT_GT(profile.adaptive().refsSkipped, 0u);
 }
 
 TEST(Bm3dStageLoop, MatchesReferenceLoopUnderInt16)

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -191,6 +192,19 @@ TEST(Tiles, GrainLargerThanRangeGivesSingleTile)
     EXPECT_EQ(tiles[0].y1, 3);
 }
 
+TEST(Tiles, IntMaxGrainGivesSingleTile)
+{
+    // Rounding up must not overflow: tileGrain has no upper bound.
+    auto tiles = parallel::makeTiles(125, 125, INT_MAX);
+    ASSERT_EQ(tiles.size(), 1u);
+    EXPECT_EQ(tiles[0].x1, 125);
+    EXPECT_EQ(tiles[0].y1, 125);
+    tiles = parallel::makeTiles(INT_MAX, 3, INT_MAX - 1);
+    ASSERT_EQ(tiles.size(), 2u);
+    EXPECT_EQ(tiles[1].x0, INT_MAX - 1);
+    EXPECT_EQ(tiles[1].x1, INT_MAX);
+}
+
 TEST(Tiles, GridPartitionsIndexSpaceInRowMajorOrder)
 {
     const int nx = 23, ny = 17, grain = 5;
@@ -281,6 +295,23 @@ TEST(TileBands, BandLargerThanGridGivesSingleBand)
     EXPECT_EQ(bands[0].firstTile, 0);
     EXPECT_EQ(bands[0].y0, 0);
     EXPECT_EQ(bands[0].y1, 10);
+}
+
+TEST(TileBands, IntMaxRowsAndGrainGiveSingleBand)
+{
+    // Neither band.rows nor tileGrain has an upper bound.
+    for (const auto &[grain, rows] :
+         {std::pair{64, INT_MAX}, std::pair{INT_MAX, 64},
+          std::pair{INT_MAX, INT_MAX}, std::pair{1, INT_MAX}}) {
+        const auto bands = parallel::makeTileBands(125, 125, grain, rows);
+        ASSERT_EQ(bands.size(), 1u) << grain << " " << rows;
+        EXPECT_EQ(bands[0].firstTile, 0);
+        EXPECT_EQ(bands[0].lastTile,
+                  static_cast<int>(parallel::makeTiles(125, 125, grain)
+                                       .size()));
+        EXPECT_EQ(bands[0].y0, 0);
+        EXPECT_EQ(bands[0].y1, 125);
+    }
 }
 
 TEST(TileBands, EmptyGridAndBadGrain)
