@@ -140,12 +140,12 @@ recordProbe()
     // measured — and its hit counters nonzero — without making it the
     // probe's default config.
     const double dense_snr = image::snrDb(clean, rf.output);
-    auto ablate = [&](const char *name, double wall,
+    auto ablate = [&](const char *name, double row_wall,
                       const bm3d::Bm3dResult &r) {
         const std::string prefix = std::string("ablate_") + name + "_";
         const double bm1 = r.profile.seconds(bm3d::Step::Bm1) * 1e3;
         const double bm2 = r.profile.seconds(bm3d::Step::Bm2) * 1e3;
-        rec.metrics[prefix + "wall_s"] = wall;
+        rec.metrics[prefix + "wall_s"] = row_wall;
         rec.metrics[prefix + "bm1_ms"] = bm1;
         rec.metrics[prefix + "bm2_ms"] = bm2;
         rec.metrics[prefix + "de1_ms"] =
@@ -160,18 +160,19 @@ recordProbe()
             rec.tagThreads(prefix + col, 8);
         return bm1 + bm2;
     };
-    auto timeVariant = [&](const bm3d::Bm3dConfig &vcfg, double &wall) {
+    auto timeVariant = [&](const bm3d::Bm3dConfig &vcfg,
+                           double &best_wall) {
         bm3d::Bm3d engine(vcfg);
         bm3d::Bm3dResult best;
-        wall = 1e300;
+        best_wall = 1e300;
         for (int rep = 0; rep < 3; ++rep) {
             const auto t0 = std::chrono::steady_clock::now();
             bm3d::Bm3dResult r = engine.denoise(noisy);
             const double w = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
-            if (w < wall) {
-                wall = w;
+            if (w < best_wall) {
+                best_wall = w;
                 best = std::move(r);
             }
         }
@@ -200,13 +201,6 @@ recordProbe()
     const bm3d::ScenePreset preset = bm3d::pickPreset(noisy);
     bm3d::Bm3dConfig pr_cfg = bm3d::applyPreset(base8, preset);
 
-    // Fused group-major denoise off (DESIGN §12): same host, same
-    // probe, same rep discipline as the dense row, so the
-    // dense-vs-fusedoff DE1+DE2 ratio is the clean same-machine
-    // measurement of the fused datapath's gain.
-    bm3d::Bm3dConfig fo_cfg = base8;
-    fo_cfg.fusedDenoise = false;
-
     ablate("dense", float_wall, rf);
     const double int16_bm = ablate("int16", int16_wall, rq);
     double wall_v = 0.0;
@@ -231,25 +225,13 @@ recordProbe()
         hashImage(r_band.output) == hashImage(rf.output) ? 1.0 : 0.0;
     rec.tagThreads("band_hash_match", 8);
 
-    const bm3d::Bm3dResult r_fo = timeVariant(fo_cfg, wall_v);
-    ablate("fusedoff", wall_v, r_fo);
-    const double de_fused = (rf.profile.seconds(bm3d::Step::De1) +
-                             rf.profile.seconds(bm3d::Step::De2)) *
-                            1e3;
-    const double de_discrete = (r_fo.profile.seconds(bm3d::Step::De1) +
-                                r_fo.profile.seconds(bm3d::Step::De2)) *
-                               1e3;
-    rec.metrics["fused_de_speedup"] = de_discrete / de_fused;
-    rec.tagThreads("fused_de_speedup", 8);
-
     rec.write();
     std::printf("band: hash match=%d (banded vs stage-major, must be 1)\n",
                 rec.metrics["band_hash_match"] == 1.0 ? 1 : 0);
     std::printf("ablation: preset=%s; BM1+BM2 vs int16: coarse %.2fx, "
-                "preset %.2fx; DE1+DE2 fused %.2fx (%.1f -> %.1f ms)\n\n",
+                "preset %.2fx\n\n",
                 bm3d::toString(preset), int16_bm / coarse_bm,
-                int16_bm / preset_bm, de_discrete / de_fused, de_discrete,
-                de_fused);
+                int16_bm / preset_bm);
 }
 
 } // namespace

@@ -88,7 +88,6 @@ main(int argc, char **argv)
     std::vector<float> scratch(pool.size());
     std::vector<float> restored(pool.size());
     std::vector<float> den(pool.size());
-    std::vector<float> wbuf(16);
     float dctm[4] = {0.5f, 0.5f, 0.653281482f, 0.270598054f};
 
     bench::BenchRecord rec;
@@ -112,8 +111,7 @@ main(int argc, char **argv)
     };
     std::vector<Timing> rows = {
         {"ssd_soa_batch", {}},
-        {"dct4_fwd", {}},   {"dct4_inv", {}},   {"haar_pair", {}},
-        {"hard_thr", {}},   {"wiener", {}},     {"aggregate", {}},
+        {"dct4_fwd", {}},   {"dct4_inv", {}},   {"aggregate", {}},
         {"merge_add", {}},  {"ssd_soa_batch_int16", {}},
         {"ssd_pair_batch_int16", {}},           {"dct4_fwd_int16", {}},
         {"haar_shrink_fused", {}},              {"wiener_shrink_fused", {}},
@@ -258,43 +256,8 @@ main(int argc, char **argv)
         });
         g_sink += restored[1];
 
-        // One Haar butterfly over adjacent 16-lane rows.
-        record([&] {
-            for (int it = 0; it < iters; ++it)
-                for (int i = 0; i + 2 <= patches; i += 2)
-                    k.haarForwardPair(pool.data() + 16 * i,
-                                      pool.data() + 16 * (i + 1),
-                                      scratch.data() + 16 * i,
-                                      scratch.data() + 16 * (i + 1),
-                                      0.70710678f, 16);
-        });
-        g_sink += scratch[2];
-
-        // Shrinkage + aggregation over the pool.
+        // Aggregation over the pool.
         std::copy(pool.begin(), pool.end(), scratch.begin());
-        record([&] {
-            for (int it = 0; it < iters; ++it)
-                for (int i = 0; i < patches; ++i)
-                    g_sink += static_cast<float>(k.hardThreshold(
-                        scratch.data() + 16 * i, 16, 8.0f));
-        });
-
-        // wienerApply shrinks its input in place (w < 1), so feeding
-        // it its own output drives the values denormal within a few
-        // dozen iterations and the microcoded denormal handling, not
-        // the kernel, dominates (and jitters). Refresh the input each
-        // iteration; the uniform 64 KB copy is noise at this scale.
-        record([&] {
-            for (int it = 0; it < iters; ++it) {
-                std::copy(pool.begin(), pool.end(), scratch.begin());
-                for (int i = 0; i < patches; ++i)
-                    g_sink += static_cast<float>(
-                        k.wienerApply(scratch.data() + 16 * i,
-                                      pool.data() + 16 * i, wbuf.data(),
-                                      16, 625.0f));
-            }
-        });
-
         std::fill(den.begin(), den.end(), 0.0f);
         record([&] {
             for (int it = 0; it < iters; ++it)
@@ -352,9 +315,11 @@ main(int argc, char **argv)
         g_sink += static_cast<float>(scratch_i16[0]);
 
         // Fused group-major denoise kernels (DESIGN §12), one call per
-        // 16-deep group tile. The inputs are refreshed per iteration
-        // for the same reason as the wiener row: the shrinkage mutates
-        // its tile in place.
+        // 16-deep group tile. The inputs are refreshed per iteration:
+        // the shrinkage mutates its tile in place, and feeding the
+        // Wiener kernel its own output (w < 1) would drive the values
+        // subnormal within a few dozen iterations, so the microcoded
+        // subnormal handling, not the kernel, would dominate.
         record([&] {
             for (int it = 0; it < iters; ++it) {
                 std::copy(pool.begin(), pool.end(), scratch.begin());

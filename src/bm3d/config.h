@@ -37,30 +37,14 @@ enum class Stage {
  * int16 raws; DE2's Wiener shrinkage and all inverse transforms stay
  * float. Output is NOT bitwise equal to Float32 (tolerance-gated
  * instead) but is bitwise deterministic across SIMD levels and thread
- * counts within Int16. Requires patchSize == 4 and the fused denoise
- * path (fusedDenoise, no fixedPoint, sharpenAlpha 1), the only one with
- * an int16 DE1. Temporal match seeding seeds the float DCT domain
- * only, so runtime::StreamConfig::validate() rejects it under Int16.
+ * counts within Int16. Requires the fused denoise path
+ * (Bm3dConfig::fusedDenoisePath()), the only one with an int16 DE1.
+ * Temporal match seeding seeds the float DCT domain only, so
+ * runtime::StreamConfig::validate() rejects it under Int16.
  */
 enum class Precision {
     Float32, ///< full float matching (the default)
     Int16,   ///< quantized int16 matching datapath
-};
-
-/** Spectrum-shrinkage weighting scheme for the aggregation step. */
-enum class WeightingMode {
-    /**
-     * Weight each restored patch by 1/M where M is the number of
-     * non-zero 3-D coefficients, exactly as the paper's DE pipeline
-     * (Fig. 1c) describes. Used by the accelerator model.
-     */
-    CountNonZero,
-    /**
-     * Reference-BM3D weighting: 1/(sigma^2 * M) for stage 1 and
-     * 1/(sigma^2 * sum W^2) for the Wiener stage. Same hardware cost,
-     * slightly better quality; available for comparison.
-     */
-    Reference,
 };
 
 /**
@@ -215,8 +199,6 @@ struct Bm3dConfig
     /// Match-distance threshold Tmatch for BM2 (normalized by PD^2).
     float tauMatch2 = 400.0f;
 
-    WeightingMode weighting = WeightingMode::CountNonZero;
-
     /// Run the second (Wiener) stage. Disabling it is an ablation knob;
     /// the paper's pipeline always runs both stages.
     bool enableWiener = true;
@@ -225,20 +207,6 @@ struct Bm3dConfig
     /// once they exceed the current acceptance bound. The "Basic"
     /// CPU implementation of Fig. 2 disables this.
     bool boundedDistance = true;
-
-    /// Group-major fused denoise datapath (DESIGN §12): run the whole
-    /// per-stack spectrum pipeline — Haar across patches, shrinkage,
-    /// inverse Haar, inverse DCT, weighted aggregation — as fused
-    /// kernel calls over a contiguous [stack][patch] group tile
-    /// instead of discrete per-row kernel dispatches. Under Float32,
-    /// output is bitwise identical either way (the fused kernels
-    /// replay the exact per-element operation sequence of the
-    /// discrete path) and disabling is a perf-ablation knob. The fused
-    /// path requires patchSize == 4, no fixedPoint formats and
-    /// sharpenAlpha == 1, and falls back to the discrete path
-    /// otherwise; only the fused path has an int16 DE1, so validate()
-    /// rejects Int16 with any of those fallbacks.
-    bool fusedDenoise = true;
 
     MrConfig mr;
 
@@ -302,9 +270,11 @@ struct Bm3dConfig
         if (maxMatches < 1 || maxMatches > 16 ||
             (maxMatches & (maxMatches - 1)) != 0)
             throw std::invalid_argument("maxMatches must be pow2 <= 16");
-        if (sigma <= 0.0f)
+        // !(in range) rather than (out of range): NaN fails every
+        // comparison, and must be rejected too.
+        if (!(sigma > 0.0f))
             throw std::invalid_argument("sigma must be positive");
-        if (mr.enabled && (mr.k <= 0.0 || mr.k > 1.0))
+        if (mr.enabled && !(mr.k > 0.0 && mr.k <= 1.0))
             throw std::invalid_argument("MR factor K must be in (0, 1]");
         if (variant.adaptiveBound &&
             (std::isnan(variant.boundMargin) || variant.boundMargin < 1.0f))
@@ -318,21 +288,30 @@ struct Bm3dConfig
             throw std::invalid_argument(
                 "variant.coarseToFine is not composable with Matches "
                 "Reuse (MR chains state across consecutive references)");
-        if (sharpenAlpha < 1.0f)
+        if (!(sharpenAlpha >= 1.0f))
             throw std::invalid_argument("sharpenAlpha must be >= 1");
         if (tileGrain < 1)
             throw std::invalid_argument("tileGrain must be >= 1");
         if (band.rows < 1)
             throw std::invalid_argument("band.rows must be >= 1");
-        if (precision == Precision::Int16 && patchSize != 4)
-            throw std::invalid_argument(
-                "int16 precision requires patchSize == 4");
-        if (precision == Precision::Int16 &&
-            (!fusedDenoise || fixedPoint || sharpenAlpha > 1.0f))
+        if (precision == Precision::Int16 && !fusedDenoisePath())
             throw std::invalid_argument(
                 "int16 precision requires the fused denoise path "
-                "(fusedDenoise on, no fixedPoint, sharpenAlpha 1): the "
+                "(patchSize 4, no fixedPoint, sharpenAlpha 1): the "
                 "discrete denoise path has no int16 DE1");
+    }
+
+    /**
+     * True when the denoising step DE runs the group-major fused
+     * datapath (DESIGN §12): 4x4 patches, no fixedPoint formats and no
+     * sharpening. Every other config runs the discrete per-position
+     * path, whose float output the fused one reproduces bit for bit.
+     * Only the fused path has an int16 DE1, so Int16 requires it.
+     */
+    bool
+    fusedDenoisePath() const
+    {
+        return patchSize == 4 && !fixedPoint && sharpenAlpha == 1.0f;
     }
 
     /** Search window size of @p stage. */

@@ -214,11 +214,7 @@ DenoiseEngine::DenoiseEngine(const Bm3dConfig &config, Stage stage,
     for (int s = 2; s <= config.maxMatches; s *= 2)
         haars_.emplace_back(s);
 
-    // Fused group-major datapath (DESIGN §12): 4x4 float patches with
-    // no sharpening only — everything else falls back to the discrete
-    // per-row path, whose output the fused one reproduces bitwise.
-    fusedEligible_ = config_.fusedDenoise && config_.patchSize == 4 &&
-                     !config_.fixedPoint && config_.sharpenAlpha <= 1.0f;
+    fusedEligible_ = config_.fusedDenoisePath();
     if (fusedEligible_) {
         const size_t slice = static_cast<size_t>(kMaxStack) * 16;
         if (arena_ != nullptr)
@@ -321,17 +317,17 @@ DenoiseEngine::prepareTile(int x0, int y0, int x1, int y1)
     }
 }
 
-DenoiseEngine::ShrinkStats
+int
 DenoiseEngine::shrinkVector(float *vec, const float *wiener_ref,
                             int stack_size)
 {
-    ShrinkStats stats;
+    int non_zero = 0;
     if (stage_ == Stage::HardThreshold) {
         for (int i = 0; i < stack_size; ++i) {
             if (std::abs(vec[i]) < threshold3d_) {
                 vec[i] = 0.0f;
             } else {
-                ++stats.nonZero;
+                ++non_zero;
             }
         }
     } else {
@@ -340,14 +336,13 @@ DenoiseEngine::shrinkVector(float *vec, const float *wiener_ref,
             float b = wiener_ref[i];
             float w = (b * b) / (b * b + s2);
             vec[i] *= w;
-            stats.sumWeightSq += static_cast<double>(w) * w;
             // Hardware-countable analogue of "non-zero": the filter
             // passes more than half of the coefficient.
             if (w > 0.5f)
-                ++stats.nonZero;
+                ++non_zero;
         }
     }
-    return stats;
+    return non_zero;
 }
 
 void
@@ -395,8 +390,14 @@ DenoiseEngine::processRow(const MatchList *lists, int count,
     std::optional<ScopedTimer> timer;
     if (profile_)
         timer.emplace(*profile_, de_step);
-    for (int i = 0; i < count; ++i)
-        denoiseStack(lists[i], agg);
+    for (int i = 0; i < count; ++i) {
+        if (lists[i].stackSize() == 0)
+            continue;
+        if (fusedEligible_)
+            processStackFused(lists[i], agg);
+        else
+            processStackDiscrete(lists[i], agg);
+    }
     if (profile_) {
         profile_->addOps(de_step, rowOps_);
         profile_->addOps(Step::Dct2, rowDctOps_);
@@ -406,15 +407,10 @@ DenoiseEngine::processRow(const MatchList *lists, int count,
 }
 
 void
-DenoiseEngine::denoiseStack(const MatchList &matches, Aggregator &agg)
+DenoiseEngine::processStackDiscrete(const MatchList &matches,
+                                    Aggregator &agg)
 {
     const int stack_size = matches.stackSize();
-    if (stack_size == 0)
-        return;
-    if (fusedEligible_) {
-        processStackFused(matches, agg);
-        return;
-    }
     ++groupStats_.legacyStacks;
     const int p = config_.patchSize;
     const int pp = p * p;
@@ -446,84 +442,7 @@ DenoiseEngine::denoiseStack(const MatchList &matches, Aggregator &agg)
                 gatherStack(*basic_, matches, stack_size, c, false, btile,
                             &basic_coefs[0][0], kMaxCoefs);
 
-        ShrinkStats total;
-        if (!config_.fixedPoint) {
-            // Row-wise (SoA) float path: the Haar butterflies run
-            // along the stack dimension with the pp coefficient
-            // positions as contiguous vector lanes. Every lane sees
-            // the exact per-position operation sequence, so results
-            // are bit-identical to the transposed form below — minus
-            // the gather/scatter transposes and with vectorizable
-            // inner loops.
-            float thaar[kMaxStack][kMaxCoefs];
-            if (haar)
-                haar->forwardRows(&noisy_coefs[0][0], &thaar[0][0],
-                                  kMaxCoefs, pp);
-            else
-                std::copy(noisy_coefs[0], noisy_coefs[0] + pp, thaar[0]);
-
-            const simd::KernelTable &kt = simd::kernels();
-            if (stage_ == Stage::HardThreshold) {
-                for (int i = 0; i < stack_size; ++i)
-                    total.nonZero +=
-                        kt.hardThreshold(thaar[i], pp, threshold3d_);
-            } else {
-                float bhaar[kMaxStack][kMaxCoefs];
-                if (haar)
-                    haar->forwardRows(&basic_coefs[0][0], &bhaar[0][0],
-                                      kMaxCoefs, pp);
-                else
-                    std::copy(basic_coefs[0], basic_coefs[0] + pp,
-                              bhaar[0]);
-                const float s2 = config_.sigma * config_.sigma;
-                float wbuf[kMaxCoefs];
-                for (int i = 0; i < stack_size; ++i) {
-                    total.nonZero +=
-                        kt.wienerApply(thaar[i], bhaar[i], wbuf, pp, s2);
-                    // The double-precision weight accumulation stays
-                    // scalar and sequential, in the same i-major,
-                    // pos-minor order as always.
-                    for (int pos = 0; pos < pp; ++pos)
-                        total.sumWeightSq +=
-                            static_cast<double>(wbuf[pos]) * wbuf[pos];
-                }
-            }
-
-            // Joint sharpening (paper Sec. 7): alpha-root the shrunk
-            // 3-D spectrum magnitudes relative to the block's largest
-            // coefficient, which is left unchanged.
-            if (config_.sharpenAlpha > 1.0f) {
-                float ref = 0.0f;
-                for (int i = 0; i < stack_size; ++i)
-                    for (int pos = 0; pos < pp; ++pos)
-                        ref = std::max(ref, std::abs(thaar[i][pos]));
-                if (ref > 0.0f) {
-                    const float inv_alpha = 1.0f / config_.sharpenAlpha;
-                    for (int i = 0; i < stack_size; ++i)
-                        for (int pos = 0; pos < pp; ++pos) {
-                            float v = thaar[i][pos];
-                            // Boost only coefficients that survived
-                            // shrinkage as significant: rooting the
-                            // sub-threshold residue (present after the
-                            // Wiener stage, which attenuates rather
-                            // than zeroes) would amplify noise.
-                            if (std::abs(v) < threshold3d_)
-                                continue;
-                            float mag = ref * std::pow(std::abs(v) / ref,
-                                                       inv_alpha);
-                            mag = std::min(mag, std::abs(v) *
-                                                    config_.sharpenMaxBoost);
-                            thaar[i][pos] = std::copysign(mag, v);
-                        }
-                }
-            }
-
-            if (haar)
-                haar->inverseRows(&thaar[0][0], &noisy_coefs[0][0],
-                                  kMaxCoefs, pp);
-            else
-                std::copy(thaar[0], thaar[0] + pp, noisy_coefs[0]);
-        } else {
+        int non_zero = 0;
         for (int pos = 0; pos < pp; ++pos) {
             float zvec[kMaxStack];
             for (int i = 0; i < stack_size; ++i)
@@ -547,9 +466,7 @@ DenoiseEngine::denoiseStack(const MatchList &matches, Aggregator &agg)
                     bdom[0] = zvec[0];
                 wref = bdom;
             }
-            ShrinkStats s = shrinkVector(tdom[pos], wref, stack_size);
-            total.nonZero += s.nonZero;
-            total.sumWeightSq += s.sumWeightSq;
+            non_zero += shrinkVector(tdom[pos], wref, stack_size);
         }
 
         // Joint sharpening (paper Sec. 7): alpha-root the shrunk 3-D
@@ -595,16 +512,9 @@ DenoiseEngine::denoiseStack(const MatchList &matches, Aggregator &agg)
             for (int i = 0; i < stack_size; ++i)
                 noisy_coefs[i][pos] = zvec[i];
         }
-        }
 
-        float weight;
-        if (stage_ == Stage::HardThreshold ||
-            config_.weighting == WeightingMode::CountNonZero) {
-            weight = 1.0f / static_cast<float>(std::max(total.nonZero, 1));
-        } else {
-            weight = 1.0f /
-                     static_cast<float>(std::max(total.sumWeightSq, 1e-6));
-        }
+        const float weight =
+            1.0f / static_cast<float>(std::max(non_zero, 1));
 
         float pixels[kMaxCoefs];
         for (int i = 0; i < stack_size; ++i) {
@@ -660,20 +570,7 @@ DenoiseEngine::processStackFused(const MatchList &matches, Aggregator &agg)
             const float s2 = config_.sigma * config_.sigma;
             const int strong = kt.wienerShrinkFused(
                 gNoisy_, gBasic_, wTile_, stack_size, pp, s2);
-            if (config_.weighting == WeightingMode::CountNonZero) {
-                weight = 1.0f / static_cast<float>(std::max(strong, 1));
-            } else {
-                // Same i-major, pos-minor double accumulation order as
-                // the discrete path — bitwise-identical weight.
-                double sum_w_sq = 0.0;
-                for (int i = 0; i < stack_size; ++i)
-                    for (int pos = 0; pos < pp; ++pos) {
-                        const float w = wTile_[i * pp + pos];
-                        sum_w_sq += static_cast<double>(w) * w;
-                    }
-                weight =
-                    1.0f / static_cast<float>(std::max(sum_w_sq, 1e-6));
-            }
+            weight = 1.0f / static_cast<float>(std::max(strong, 1));
         } else {
             forward_dcts += gatherStack(noisy_, matches, stack_size, c,
                                         reuse, ntile, gNoisy_, pp);

@@ -204,8 +204,9 @@ class DenoiseEngine
      * resolving each member from the global Path-C field (when
      * @p reuse_field), then the tile cache @p tile (when it covers the
      * position), then an on-the-fly forward DCT. Member i's
-     * coefficients are written at @p coefs + i * @p stride (the legacy
-     * path passes kMaxCoefs, the fused path its packed tile width pp).
+     * coefficients are written at @p coefs + i * @p stride (the
+     * discrete path passes kMaxCoefs, the fused path its packed tile
+     * width pp).
      * @return the number of forward DCTs actually executed
      */
     uint64_t gatherStack(const image::ImageF &src, const MatchList &matches,
@@ -213,38 +214,39 @@ class DenoiseEngine
                          const TileDctField *tile, float *coefs,
                          int stride);
 
-    /** Denoise one stack; the op charge accrues to rowOps_. */
-    void denoiseStack(const MatchList &matches, Aggregator &agg);
+    /**
+     * Discrete datapath, for every config the fused path cannot take
+     * (Bm3dConfig::fusedDenoisePath() false: sharpening, fixedPoint
+     * formats, patch sizes other than 4): per coefficient position,
+     * Haar1D along the stack (fixed point under fixedPoint), shrink,
+     * optional alpha-rooting, inverse Haar; then an inverse DCT and
+     * addPatch per member. The op charge accrues to rowOps_.
+     */
+    void processStackDiscrete(const MatchList &matches, Aggregator &agg);
 
     /**
      * Group-major fused datapath (DESIGN §12): gather the matched
      * patches' DCT coefficients into the contiguous group tile, run
      * Haar-across-patches + shrinkage + inverse Haar as one fused
      * kernel call, and inverse-DCT + aggregate straight out of the
-     * tile. Float output is bitwise identical to the discrete path;
-     * under Precision::Int16, DE1's Haar+shrink runs on quantized
-     * Q11.1 raws instead (tolerance-gated, still bitwise deterministic
-     * across SIMD levels and thread counts). The discrete path has no
-     * int16 DE1, so Bm3dConfig::validate() rejects Int16 without
-     * fusedDenoise.
+     * tile. Float output is bitwise identical to the discrete path's
+     * per-element arithmetic; under Precision::Int16, DE1's
+     * Haar+shrink runs on quantized Q11.1 raws instead
+     * (tolerance-gated, still bitwise deterministic across SIMD levels
+     * and thread counts).
      */
     void processStackFused(const MatchList &matches, Aggregator &agg);
 
-    /** Op accounting shared by the fused and discrete paths — the
-        charges are formula-based and identical by construction, which
-        is what keeps bench_diff --ops-tolerance 0 meaningful across
-        the Float32 fusedDenoise knob. Accrues to rowOps_/rowDctOps_
-        until processRow charges the row. */
+    /** Op accounting shared by the fused and discrete paths: the
+        charges are formula-based, so a stack costs the same ops on
+        either path. Accrues to rowOps_/rowDctOps_ until processRow
+        charges the row. */
     void chargeStackOps(uint64_t forward_dcts, int stack_size);
 
-    /** Shrink one z-vector in place; returns per-vector stats. */
-    struct ShrinkStats
-    {
-        int nonZero = 0;
-        double sumWeightSq = 0.0;
-    };
-    ShrinkStats shrinkVector(float *vec, const float *wiener_ref,
-                             int stack_size);
+    /** Shrink one z-vector in place; returns its count M of
+        surviving (DE1) or strongly passed (DE2, w > 0.5)
+        coefficients. */
+    int shrinkVector(float *vec, const float *wiener_ref, int stack_size);
 
     const Bm3dConfig &config_;
     Stage stage_;
@@ -270,8 +272,9 @@ class DenoiseEngine
     bool tilesValid_ = false;
 
     /// Fused datapath state. The group tile holds three kMaxStack x 16
-    /// slices (noisy coefficients, Wiener reference, Wiener weights),
-    /// arena-recycled so streamed frames stay malloc-free.
+    /// slices (noisy coefficients, Wiener reference, Wiener weights:
+    /// wienerShrinkFused's output tile, which the engine does not
+    /// read), arena-recycled so streamed frames stay malloc-free.
     bool fusedEligible_ = false;
     std::vector<float> groupTile_;
     float *gNoisy_ = nullptr;

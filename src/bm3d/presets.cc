@@ -142,8 +142,7 @@ applyPreset(Bm3dConfig base, ScenePreset preset)
 {
     // Int16 matching needs the fused 4x4 denoise datapath; leave
     // precision alone for configs validate() would reject under Int16.
-    const bool can_i16 = base.patchSize == 4 && base.fusedDenoise &&
-                         !base.fixedPoint && base.sharpenAlpha <= 1.0f;
+    const bool can_i16 = base.fusedDenoisePath();
     switch (preset) {
       case ScenePreset::Nature:
         // Smooth self-similar content: good matches everywhere, so

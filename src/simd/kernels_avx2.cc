@@ -385,105 +385,6 @@ dct4Inverse(const float *in, float *out, const float *inv_even,
 }
 
 void
-haarForwardPair(const float *even, const float *odd, float *approx,
-                float *detail, float factor, int width)
-{
-    const __m256 f = _mm256_set1_ps(factor);
-    int c = 0;
-    for (; c + 8 <= width; c += 8) {
-        const __m256 e = _mm256_loadu_ps(even + c);
-        const __m256 o = _mm256_loadu_ps(odd + c);
-        _mm256_storeu_ps(approx + c,
-                         _mm256_mul_ps(_mm256_add_ps(e, o), f));
-        _mm256_storeu_ps(detail + c,
-                         _mm256_mul_ps(_mm256_sub_ps(e, o), f));
-    }
-    for (; c < width; ++c) {
-        const float e = even[c];
-        const float o = odd[c];
-        approx[c] = (e + o) * factor;
-        detail[c] = (e - o) * factor;
-    }
-}
-
-void
-haarInversePair(const float *approx, const float *detail, float *out_even,
-                float *out_odd, float factor, int width)
-{
-    const __m256 f = _mm256_set1_ps(factor);
-    int c = 0;
-    for (; c + 8 <= width; c += 8) {
-        const __m256 a = _mm256_loadu_ps(approx + c);
-        const __m256 d = _mm256_loadu_ps(detail + c);
-        _mm256_storeu_ps(out_even + c,
-                         _mm256_mul_ps(_mm256_add_ps(a, d), f));
-        _mm256_storeu_ps(out_odd + c,
-                         _mm256_mul_ps(_mm256_sub_ps(a, d), f));
-    }
-    for (; c < width; ++c) {
-        const float a = approx[c];
-        const float d = detail[c];
-        out_even[c] = (a + d) * factor;
-        out_odd[c] = (a - d) * factor;
-    }
-}
-
-int
-hardThreshold(float *v, int count, float threshold)
-{
-    const __m256 abs_mask =
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-    const __m256 thr = _mm256_set1_ps(threshold);
-    int kept = 0;
-    int i = 0;
-    for (; i + 8 <= count; i += 8) {
-        const __m256 x = _mm256_loadu_ps(v + i);
-        // |x| < thr (ordered: NaN compares false, so NaN is kept —
-        // same as scalar std::abs(x) < thr).
-        const __m256 below = _mm256_cmp_ps(_mm256_and_ps(x, abs_mask),
-                                           thr, _CMP_LT_OQ);
-        _mm256_storeu_ps(v + i, _mm256_andnot_ps(below, x));
-        kept += 8 - _mm_popcnt_u32(static_cast<unsigned>(
-                        _mm256_movemask_ps(below)));
-    }
-    for (; i < count; ++i) {
-        if (std::fabs(v[i]) < threshold)
-            v[i] = 0.0f;
-        else
-            ++kept;
-    }
-    return kept;
-}
-
-int
-wienerApply(float *v, const float *b, float *w, int count, float sigma2)
-{
-    const __m256 s2 = _mm256_set1_ps(sigma2);
-    const __m256 half = _mm256_set1_ps(0.5f);
-    int strong = 0;
-    int i = 0;
-    for (; i + 8 <= count; i += 8) {
-        const __m256 bv = _mm256_loadu_ps(b + i);
-        const __m256 b2 = _mm256_mul_ps(bv, bv);
-        const __m256 wv = _mm256_div_ps(b2, _mm256_add_ps(b2, s2));
-        _mm256_storeu_ps(w + i, wv);
-        _mm256_storeu_ps(v + i,
-                         _mm256_mul_ps(_mm256_loadu_ps(v + i), wv));
-        strong += _mm_popcnt_u32(static_cast<unsigned>(
-            _mm256_movemask_ps(_mm256_cmp_ps(wv, half, _CMP_GT_OQ))));
-    }
-    for (; i < count; ++i) {
-        const float b2 = b[i] * b[i];
-        const float wi = b2 / (b2 + sigma2);
-        w[i] = wi;
-        v[i] *= wi;
-        if (wi > 0.5f)
-            ++strong;
-    }
-    return strong;
-}
-
-void
 aggregateAdd(float *num, float *den, const float *pix, float weight,
              int count)
 {
@@ -914,7 +815,7 @@ struct HaarI16
 
 /**
  * Forward Haar across the first @p Len rows of @p buf in the
- * Haar1D::forwardRows schedule: each level writes its details to
+ * Haar1D::forward schedule: each level writes its details to
  * dom[half + i] and its approximations to the front of buf, and the
  * last approximation lands in dom[0].
  */
@@ -1199,8 +1100,7 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
 
 const KernelTable kAvx2TableStorage = {
     ssd,           ssdSoa,          ssdSoaBatch,     selectMatches,
-    dct4Forward,   dct4Inverse,     haarForwardPair, haarInversePair,
-    hardThreshold, wienerApply,     aggregateAdd,    mergeAdd,
+    dct4Forward,   dct4Inverse,     aggregateAdd,    mergeAdd,
     ssdSoaI16,     ssdSoaBatchI16,  ssdPairBatchI16, dct4ForwardI16,
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,

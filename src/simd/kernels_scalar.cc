@@ -236,58 +236,6 @@ dct4Inverse(const float *in, float *out, const float *inv_even,
 }
 
 void
-haarForwardPair(const float *even, const float *odd, float *approx,
-                float *detail, float factor, int width)
-{
-    for (int c = 0; c < width; ++c) {
-        const float e = even[c];
-        const float o = odd[c];
-        approx[c] = (e + o) * factor;
-        detail[c] = (e - o) * factor;
-    }
-}
-
-void
-haarInversePair(const float *approx, const float *detail, float *out_even,
-                float *out_odd, float factor, int width)
-{
-    for (int c = 0; c < width; ++c) {
-        const float a = approx[c];
-        const float d = detail[c];
-        out_even[c] = (a + d) * factor;
-        out_odd[c] = (a - d) * factor;
-    }
-}
-
-int
-hardThreshold(float *v, int count, float threshold)
-{
-    int kept = 0;
-    for (int i = 0; i < count; ++i) {
-        if (std::abs(v[i]) < threshold)
-            v[i] = 0.0f;
-        else
-            ++kept;
-    }
-    return kept;
-}
-
-int
-wienerApply(float *v, const float *b, float *w, int count, float sigma2)
-{
-    int strong = 0;
-    for (int i = 0; i < count; ++i) {
-        const float b2 = b[i] * b[i];
-        const float wi = b2 / (b2 + sigma2);
-        w[i] = wi;
-        v[i] *= wi;
-        if (wi > 0.5f)
-            ++strong;
-    }
-    return strong;
-}
-
-void
 aggregateAdd(float *num, float *den, const float *pix, float weight,
              int count)
 {
@@ -481,10 +429,10 @@ hardThresholdI16(int16_t *v, int count, int16_t threshold)
 
 // ---- fused group-major denoise kernels (DESIGN §12) --------------
 //
-// One coefficient lane at a time, replaying the Haar1D forwardRows /
-// inverseRows butterfly schedule down the stack rows with the shrink
+// One coefficient lane at a time, replaying the Haar1D forward /
+// inverse butterfly schedule down the stack rows with the shrink
 // applied in between — the per-element expressions of the discrete
-// kernels above, just without the per-row dispatches and spills. The
+// denoise path, just without its per-position gathers and spills. The
 // vector variants run 4/8 lanes per step with the same expressions,
 // so every level matches these loops bitwise.
 
@@ -715,8 +663,7 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
 
 const KernelTable kScalarTable = {
     ssd,           ssdSoa,          ssdSoaBatch,     selectMatches,
-    dct4Forward,   dct4Inverse,     haarForwardPair, haarInversePair,
-    hardThreshold, wienerApply,     aggregateAdd,    mergeAdd,
+    dct4Forward,   dct4Inverse,     aggregateAdd,    mergeAdd,
     ssdSoaI16,     ssdSoaBatchI16,  ssdPairBatchI16, dct4ForwardI16,
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,

@@ -158,42 +158,6 @@ struct KernelTable
                         const float *inv_even, const float *inv_odd);
 
     /**
-     * One Haar butterfly over @p width lanes:
-     * approx[c] = (even[c] + odd[c]) * factor,
-     * detail[c] = (even[c] - odd[c]) * factor.
-     * approx may alias even (each lane is read before it is written).
-     */
-    void (*haarForwardPair)(const float *even, const float *odd,
-                            float *approx, float *detail, float factor,
-                            int width);
-
-    /**
-     * One inverse Haar butterfly over @p width lanes:
-     * out_even[c] = (approx[c] + detail[c]) * factor,
-     * out_odd[c]  = (approx[c] - detail[c]) * factor.
-     * Outputs must not alias the inputs.
-     */
-    void (*haarInversePair)(const float *approx, const float *detail,
-                            float *out_even, float *out_odd, float factor,
-                            int width);
-
-    /**
-     * Hard threshold in place: v[i] with |v[i]| < threshold becomes
-     * +0.0f. Returns the number of surviving (non-zeroed) elements.
-     */
-    int (*hardThreshold)(float *v, int count, float threshold);
-
-    /**
-     * Wiener shrinkage: w[i] = b[i]^2 / (b[i]^2 + sigma2),
-     * v[i] *= w[i]; the weights are stored to @p w so the caller can
-     * accumulate sum(w^2) in double precision in its own fixed order.
-     * Returns the count of w[i] > 0.5 (the hardware-countable
-     * "non-zero" analogue).
-     */
-    int (*wienerApply)(float *v, const float *b, float *w, int count,
-                       float sigma2);
-
-    /**
      * Weighted aggregation row: num[i] += weight * pix[i],
      * den[i] += weight.
      */
@@ -273,23 +237,25 @@ struct KernelTable
 
     // ---- fused group-major denoise kernels (DESIGN §12) ----------
     //
-    // All three operate on a contiguous group tile g of
-    // stack * width floats, row i holding patch i's coefficients:
-    // the patch position is the SIMD lane, the Haar butterflies walk
-    // rows. Every operation is lane-vertical with the exact
-    // per-element expressions of the discrete kernels above (Haar1D
-    // forwardRows/inverseRows schedule, hardThreshold / wienerApply
-    // element semantics, dct4Inverse + aggregateAdd arithmetic), so
-    // fused output is bitwise equal to the discrete composition at
-    // every dispatch level. stack must be a power of two <= 16.
+    // All four operate on a contiguous group tile g of
+    // stack * width floats (int16 raws for the I16 row), row i holding
+    // patch i's coefficients: the patch position is the SIMD lane, the
+    // Haar butterflies walk rows. Every float operation is
+    // lane-vertical with the exact per-element expressions of the
+    // discrete denoise path (DenoiseEngine): Haar1D::forward /
+    // inverse down each lane, |v| < threshold zeroed to +0.0f, Wiener
+    // w = b^2 / (b^2 + sigma2), dct4Inverse + aggregateAdd arithmetic.
+    // Fused output is therefore bitwise equal to that path at every
+    // dispatch level. stack must be a power of two <= 16.
 
     /**
      * Fused DE1 spectrum pipeline over one group tile: full forward
      * Haar across the stack rows (factor = 1/sqrt(2) butterflies in
-     * the forwardRows schedule), hard threshold of every transform-
-     * domain element against @p threshold, full inverse Haar — one
-     * call, no intermediate spill. Returns the surviving-coefficient
-     * count (the aggregation weight's M).
+     * the Haar1D::forward schedule), hard threshold of every
+     * transform-domain element against @p threshold (|v| < threshold
+     * becomes +0.0f; NaN survives), full inverse Haar — one call, no
+     * intermediate spill. Returns the surviving-coefficient count (the
+     * aggregation weight's M).
      */
     int (*haarShrinkFused)(float *g, int stack, int width,
                            float threshold);
@@ -298,10 +264,10 @@ struct KernelTable
      * Fused DE2 spectrum pipeline: forward-Haar both the noisy tile
      * @p g and the basic tile @p bg, apply the empirical Wiener
      * weights w = b^2 / (b^2 + sigma2) to g (storing them to the
-     * stack * width tile @p w so the caller can accumulate sum(w^2)
-     * in double precision in its fixed i-major order), inverse-Haar
-     * g. @p bg is clobbered (left in the transform domain). Returns
-     * the count of weights > 0.5.
+     * stack * width tile @p w, through which the AVX2 body carries
+     * them from its basic pass to its noisy pass), inverse-Haar g.
+     * @p bg is clobbered (left in the transform domain). Returns the
+     * count of weights > 0.5.
      */
     int (*wienerShrinkFused)(float *g, float *bg, float *w, int stack,
                              int width, float sigma2);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "fixed/fixed.h"
-#include "simd/simd.h"
 
 namespace ideal {
 namespace transforms {
@@ -124,63 +123,6 @@ Haar1D::inverse(const float *in, float *out) const
         std::memcpy(buf, tmp, sizeof(float) * len);
     }
     std::memcpy(out, buf, sizeof(float) * n_);
-}
-
-void
-Haar1D::forwardRows(const float *in, float *out, int stride,
-                    int width) const
-{
-    // Same butterfly schedule as forward(), with each scalar replaced
-    // by a row of `width` contiguous lanes; every lane therefore sees
-    // exactly the per-column operation sequence and rounds identically.
-    if (width < 1 || width > kMaxLen)
-        throw std::invalid_argument("Haar1D: row width must be 1..64");
-    float buf[kMaxLen][kMaxLen];
-    for (int i = 0; i < n_; ++i)
-        std::memcpy(buf[i], in + static_cast<size_t>(i) * stride,
-                    sizeof(float) * width);
-    const float inv_sqrt2 = 1.0f / std::sqrt(2.0f);
-    const simd::KernelTable &k = simd::kernels();
-    int len = n_;
-    while (len > 1) {
-        const int half = len / 2;
-        // Writing the approximations in place into buf[i] is safe:
-        // butterfly i reads rows 2i and 2i+1 and writes row i, and
-        // every later butterfly reads rows >= 2i + 2.
-        for (int i = 0; i < half; ++i)
-            k.haarForwardPair(buf[2 * i], buf[2 * i + 1], buf[i],
-                              out + static_cast<size_t>(half + i) * stride,
-                              inv_sqrt2, width);
-        len = half;
-    }
-    std::memcpy(out, buf[0], sizeof(float) * width);
-}
-
-void
-Haar1D::inverseRows(const float *in, float *out, int stride,
-                    int width) const
-{
-    if (width < 1 || width > kMaxLen)
-        throw std::invalid_argument("Haar1D: row width must be 1..64");
-    float buf[kMaxLen][kMaxLen];
-    std::memcpy(buf[0], in, sizeof(float) * width);
-    const float inv_sqrt2 = 1.0f / std::sqrt(2.0f);
-    const simd::KernelTable &k = simd::kernels();
-    int len = 1;
-    while (len < n_) {
-        float tmp[kMaxLen][kMaxLen];
-        for (int i = 0; i < len; ++i)
-            k.haarInversePair(buf[i],
-                              in + static_cast<size_t>(len + i) * stride,
-                              tmp[2 * i], tmp[2 * i + 1], inv_sqrt2,
-                              width);
-        len *= 2;
-        for (int i = 0; i < len; ++i)
-            std::memcpy(buf[i], tmp[i], sizeof(float) * width);
-    }
-    for (int i = 0; i < n_; ++i)
-        std::memcpy(out + static_cast<size_t>(i) * stride, buf[i],
-                    sizeof(float) * width);
 }
 
 namespace {

@@ -43,21 +43,6 @@ class Haar1D
     void inverse(const float *in, float *out) const;
 
     /**
-     * Row-wise butterfly forward over a [n][stride] array: column c of
-     * @p out receives forward() of column c of @p in, for the first
-     * @p width columns, bit-identically — the butterflies are applied
-     * along the first index with the column as a vector lane, so the
-     * inner loops run over contiguous memory and vectorize where the
-     * per-column form cannot. @p in and @p out may not alias.
-     */
-    void forwardRows(const float *in, float *out, int stride,
-                     int width) const;
-
-    /** Row-wise butterfly inverse; see forwardRows(). */
-    void inverseRows(const float *in, float *out, int stride,
-                     int width) const;
-
-    /**
      * Fixed-point forward: inputs quantized at @p formats.dct, outputs
      * produced in formats.haar precision.
      */

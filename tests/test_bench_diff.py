@@ -467,7 +467,7 @@ class TestCompareContext(unittest.TestCase):
     def test_metric_threads_one_sided_keys_are_silent(self):
         # A row tagged in only one record (new bench column, or a
         # pre-tagging baseline with no map at all) is not a mismatch.
-        cand = record(metric_threads={"fused_de_speedup": 8})
+        cand = record(metric_threads={"band_hash_match": 8})
         self.assertEqual(bench_diff.compare_context(record(), cand), [])
 
 

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <type_traits>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "obs/metrics.h"
 #include "simd/simd.h"
 #include "transforms/dct.h"
+#include "transforms/haar.h"
 
 using namespace ideal;
 using bm3d::Bm3d;
@@ -93,16 +95,28 @@ TEST(Bm3dConfig, RejectsBadParameters)
     check([](Bm3dConfig &c) { c.tileGrain = 0; });
 }
 
-TEST(Bm3dConfig, RejectsInt16WithDiscreteDenoise)
+TEST(Bm3dConfig, RejectsNanValues)
 {
-    // Only the fused path has an int16 DE1, so turning fusedDenoise off
-    // would silently change Int16 output; Float32 may still turn it off.
-    Bm3dConfig cfg;
-    cfg.precision = bm3d::Precision::Int16;
-    cfg.fusedDenoise = false;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.precision = bm3d::Precision::Float32;
-    EXPECT_NO_THROW(cfg.validate());
+    // NaN fails every comparison, so a range check written as "reject
+    // when below" lets it through: a NaN sigma turns the whole output
+    // NaN, and a NaN sharpenAlpha sent Int16's DE1 down the discrete
+    // path in float.
+    auto check = [](auto mutate) {
+        Bm3dConfig cfg;
+        mutate(cfg);
+        EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    };
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    check([&](Bm3dConfig &c) { c.sigma = nan; });
+    check([&](Bm3dConfig &c) { c.sharpenAlpha = nan; });
+    check([&](Bm3dConfig &c) {
+        c.precision = bm3d::Precision::Int16;
+        c.sharpenAlpha = nan;
+    });
+    check([](Bm3dConfig &c) {
+        c.mr.enabled = true;
+        c.mr.k = std::numeric_limits<double>::quiet_NaN();
+    });
 }
 
 TEST(Bm3dConfig, RejectsInt16WhereTheFusedPathFallsBack)
@@ -633,26 +647,6 @@ TEST(Bm3dMr, RegistryReportsNonzeroHitsWhenEnabled)
 // Fused group-major denoise datapath (DESIGN §12).
 // ---------------------------------------------------------------------
 
-TEST(Bm3dFused, BitwiseIdenticalToDiscretePath)
-{
-    // The fused kernels replay the discrete path's exact float
-    // expressions, so flipping the knob must not change a single bit —
-    // under the full feature mix (color, Matches Reuse, transform-once
-    // tiles, multithreaded tiled run).
-    auto scene = makeTestScene(image::SceneKind::Nature, 40, 25.0f, 50, 3);
-    Bm3dConfig cfg = smallConfig();
-    cfg.tileGrain = 8;
-    cfg.numThreads = 4;
-    cfg.mr.enabled = true;
-    auto r_fused = Bm3d(cfg).denoise(scene.noisy);
-
-    cfg.fusedDenoise = false;
-    auto r_discrete = Bm3d(cfg).denoise(scene.noisy);
-
-    EXPECT_EQ(image::maxAbsDiff(r_fused.basic, r_discrete.basic), 0.0);
-    EXPECT_EQ(image::maxAbsDiff(r_fused.output, r_discrete.output), 0.0);
-}
-
 TEST(Bm3dFused, BitwiseMatrixAcrossLevelsThreadsPrecisions)
 {
     // The PR's acceptance matrix: for each matching precision, the
@@ -689,10 +683,11 @@ TEST(Bm3dFused, BitwiseMatrixAcrossLevelsThreadsPrecisions)
 
 TEST(Bm3dFused, GroupCountersReportFusedTraffic)
 {
-    // With the fused path on (default), every stack goes group-major
-    // and the registry says so; with it off, the same stacks are
-    // charged to the legacy counter. Totals are thread-count invariant
-    // by the same argument as the variant counters above.
+    // On the fused path (the defaults) every stack goes group-major
+    // and the registry says so; with sharpening, which only the
+    // discrete path runs, the same number of stacks is charged to the
+    // legacy counter. Totals are thread-count invariant by the same
+    // argument as the variant counters above.
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     auto scene = makeTestScene(image::SceneKind::Street, 40, 25.0f, 52);
     Bm3dConfig cfg = smallConfig();
@@ -715,7 +710,7 @@ TEST(Bm3dFused, GroupCountersReportFusedTraffic)
 
     reg.reset();
     cfg.numThreads = 0;
-    cfg.fusedDenoise = false;
+    cfg.sharpenAlpha = 1.5f;
     Bm3d(cfg).denoise(scene.noisy);
     const obs::MetricsSnapshot legacy = reg.snapshot();
     EXPECT_EQ(legacy.value("bm3d.group.fusedStacks"), 0.0);
@@ -723,24 +718,6 @@ TEST(Bm3dFused, GroupCountersReportFusedTraffic)
     EXPECT_EQ(legacy.value("bm3d.group.legacyStacks"),
               fused.value("bm3d.group.fusedStacks"));
     reg.reset();
-}
-
-TEST(Bm3dFused, OpChargesIdenticalAcrossFusedKnob)
-{
-    // chargeStackOps is shared by both paths, so every per-step op
-    // counter must agree exactly — the invariant CI's
-    // --ops-tolerance 0 gate rests on.
-    auto scene = makeTestScene(image::SceneKind::Nature, 40, 25.0f, 53);
-    Bm3dConfig cfg = smallConfig();
-    auto r_fused = Bm3d(cfg).denoise(scene.noisy);
-    cfg.fusedDenoise = false;
-    auto r_discrete = Bm3d(cfg).denoise(scene.noisy);
-
-    for (Step step : {Step::Dct2, Step::De1, Step::De2}) {
-        SCOPED_TRACE(static_cast<int>(step));
-        EXPECT_EQ(r_fused.profile.ops(step).total(),
-                  r_discrete.profile.ops(step).total());
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -813,23 +790,23 @@ TEST(Bm3dBand, BitwiseUnderFeatureMix)
 {
     // Banding must compose with the rest of the matching/denoise
     // feature set without changing a bit: color channels, Matches
-    // Reuse with the across-rows extension, the fused-DE knob both
-    // ways, and a multithreaded run.
+    // Reuse with the across-rows extension, both denoise paths (fused,
+    // and discrete under sharpening), and a multithreaded run.
     auto scene =
         makeTestScene(image::SceneKind::Nature, 48, 25.0f, 61, 3);
-    for (bool fused : {true, false}) {
+    for (float alpha : {1.0f, 1.5f}) {
         Bm3dConfig cfg = smallConfig();
         cfg.tileGrain = 8;
         cfg.numThreads = 4;
         cfg.mr.enabled = true;
         cfg.mr.acrossRows = true;
-        cfg.fusedDenoise = fused;
+        cfg.sharpenAlpha = alpha;
         auto ref = Bm3d(cfg).denoise(scene.noisy);
 
         cfg.band.enabled = true;
         cfg.band.rows = 8;
         auto r = Bm3d(cfg).denoise(scene.noisy);
-        SCOPED_TRACE(testing::Message() << "fused=" << fused);
+        SCOPED_TRACE(testing::Message() << "sharpenAlpha=" << alpha);
         EXPECT_EQ(image::maxAbsDiff(ref.basic, r.basic), 0.0);
         EXPECT_EQ(image::maxAbsDiff(ref.output, r.output), 0.0);
     }
@@ -1037,14 +1014,136 @@ coarseWalk(size_t n, int stride)
 }
 
 /**
+ * The denoising step DE for one stack, written out per coefficient
+ * position as the discrete reference both engine paths must
+ * reproduce (float, no fixedPoint). Per channel: each member's DCT
+ * coefficients (stage 1 copies channel 0 from the Path-C field, else
+ * Dct2D::forward of the patch); Haar along the stack; the hard
+ * threshold (|v| < lambda3d * sigma becomes +0.0f, else it counts
+ * towards M) or the Wiener weight w = b^2 / (b^2 + sigma^2) of the
+ * basic stack's spectrum (w > 0.5 counts); alpha-rooting when
+ * sharpenAlpha > 1; the inverse Haar; Dct2D::inverse; addPatch at
+ * weight 1/M.
+ */
+void
+referenceDenoiseStack(const Bm3dConfig &cfg, Stage stage,
+                      const image::ImageF &noisy, const image::ImageF *basic,
+                      const bm3d::DctPatchField *field,
+                      const bm3d::MatchList &list, bm3d::Aggregator &agg)
+{
+    const int n = list.stackSize();
+    const int p = cfg.patchSize;
+    const int pp = p * p;
+    const bool wiener = stage == Stage::Wiener;
+    const transforms::Dct2D dct(p);
+    const float thr = cfg.lambda3d * cfg.sigma;
+    const float s2 = cfg.sigma * cfg.sigma;
+
+    // Haar1D along the stack; a one-deep stack is its own transform.
+    std::optional<transforms::Haar1D> haar;
+    if (n > 1)
+        haar.emplace(n);
+    auto haarStack = [&](const float *in, float *out, bool inverse) {
+        if (!haar)
+            out[0] = in[0];
+        else if (inverse)
+            haar->inverse(in, out);
+        else
+            haar->forward(in, out);
+    };
+
+    // Member i's coefficients of channel c at [i * pp, (i + 1) * pp).
+    auto gather = [&](const image::ImageF &img, int c, bool from_field) {
+        std::vector<float> coefs(static_cast<size_t>(n) * pp);
+        std::vector<float> pixels(pp);
+        for (int i = 0; i < n; ++i) {
+            float *dst = &coefs[static_cast<size_t>(i) * pp];
+            if (from_field) {
+                std::copy_n(field->patch(list[i].x, list[i].y), pp, dst);
+                continue;
+            }
+            for (int r = 0; r < p; ++r)
+                for (int col = 0; col < p; ++col)
+                    pixels[r * p + col] =
+                        img.at(list[i].x + col, list[i].y + r, c);
+            dct.forward(pixels.data(), dst);
+        }
+        return coefs;
+    };
+
+    for (int c = 0; c < noisy.channels(); ++c) {
+        std::vector<float> coefs =
+            gather(noisy, c, !wiener && c == 0 && field != nullptr);
+        std::vector<float> bcoefs;
+        if (wiener)
+            bcoefs = gather(*basic, c, false);
+
+        // spec[pos * n + i]: the 3-D spectrum, one z-vector per position.
+        std::vector<float> spec(static_cast<size_t>(pp) * n);
+        std::vector<float> z(n), b(n);
+        int m = 0;
+        for (int pos = 0; pos < pp; ++pos) {
+            float *t = &spec[static_cast<size_t>(pos) * n];
+            for (int i = 0; i < n; ++i)
+                z[i] = coefs[static_cast<size_t>(i) * pp + pos];
+            haarStack(z.data(), t, false);
+            if (wiener) {
+                for (int i = 0; i < n; ++i)
+                    z[i] = bcoefs[static_cast<size_t>(i) * pp + pos];
+                haarStack(z.data(), b.data(), false);
+            }
+            for (int i = 0; i < n; ++i) {
+                if (wiener) {
+                    const float w = (b[i] * b[i]) / (b[i] * b[i] + s2);
+                    t[i] *= w;
+                    if (w > 0.5f)
+                        ++m;
+                } else if (std::abs(t[i]) < thr) {
+                    t[i] = 0.0f;
+                } else {
+                    ++m;
+                }
+            }
+        }
+        if (cfg.sharpenAlpha > 1.0f) {
+            float ref = 0.0f;
+            for (float v : spec)
+                ref = std::max(ref, std::abs(v));
+            for (float &v : spec) {
+                if (ref == 0.0f || std::abs(v) < thr)
+                    continue;
+                const float mag = ref * std::pow(std::abs(v) / ref,
+                                                 1.0f / cfg.sharpenAlpha);
+                v = std::copysign(
+                    std::min(mag, std::abs(v) * cfg.sharpenMaxBoost), v);
+            }
+        }
+
+        const float weight = 1.0f / static_cast<float>(std::max(m, 1));
+        for (int pos = 0; pos < pp; ++pos) {
+            haarStack(&spec[static_cast<size_t>(pos) * n], z.data(), true);
+            for (int i = 0; i < n; ++i)
+                coefs[static_cast<size_t>(i) * pp + pos] = z[i];
+        }
+        std::vector<float> pixels(pp);
+        for (int i = 0; i < n; ++i) {
+            dct.inverse(&coefs[static_cast<size_t>(i) * pp], pixels.data());
+            agg.addPatch(list[i].x, list[i].y, c, p, pixels.data(), weight);
+        }
+    }
+}
+
+/**
  * One stage written out as the per-reference loop, independent of the
  * tiled runner: for each reference in row-major order, search (MR
  * reuse of the left neighbour, then of the reference above under
  * acrossRows, then the temporal seed, else the window scan under the
  * adaptive bound carried along the row), then denoise its stack into
- * one full-image Aggregator. With one tile (1 thread, tileGrain >= the
- * grid) the runner must produce the same floats. Only the float DCT
- * domain seeds.
+ * one full-image Aggregator, with referenceDenoiseStack under Float32
+ * and DenoiseEngine::processRow under Int16 (whose DE1 only the
+ * engine has). With one tile (1 thread, tileGrain >= the grid) the
+ * runner must produce the same floats. Only the float DCT domain
+ * seeds.
  *
  * Under variant.coarseToFine the whole grid is that one tile. A first
  * pass searches every coarseStride-th row and column, the last of each
@@ -1069,9 +1168,13 @@ referenceStageLoop(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
         bm3d::makeRefPositions(domain.positionsX() - 1, cfg.refStride);
     const std::vector<int> ys =
         bm3d::makeRefPositions(domain.positionsY() - 1, cfg.refStride);
-    bm3d::DenoiseEngine engine(cfg, stage, noisy, basic, field, nullptr);
-    engine.prepareTile(0, 0, domain.positionsX() - 1,
-                       domain.positionsY() - 1);
+    EXPECT_FALSE(cfg.fixedPoint.has_value());
+    std::optional<bm3d::DenoiseEngine> engine;
+    if (cfg.precision == bm3d::Precision::Int16) {
+        engine.emplace(cfg, stage, noisy, basic, field, nullptr);
+        engine->prepareTile(0, 0, domain.positionsX() - 1,
+                            domain.positionsY() - 1);
+    }
     bm3d::Aggregator agg(noisy.width(), noisy.height(), noisy.channels());
 
     const float tau = matcher.tauMatch();
@@ -1187,7 +1290,11 @@ referenceStageLoop(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
             }
             if (!searched[cell])
                 search(xi, yi, worst);
-            engine.processRow(&lists[cell], 1, agg);
+            if (engine)
+                engine->processRow(&lists[cell], 1, agg);
+            else
+                referenceDenoiseStack(cfg, stage, noisy, basic, field,
+                                      lists[cell], agg);
             worst = lists[cell].worstDistance();
         }
     }
@@ -1430,21 +1537,74 @@ TEST(Bm3dStageLoop, MatchesReferenceLoopUnderInt16)
     EXPECT_TRUE(out.raw() == referenceStageOne(cfg, scene.noisy).raw());
 }
 
+namespace {
+
+/**
+ * Run both stages of @p cfg on @p noisy through the runner and through
+ * the reference loop (stage 2 on the runner's basic estimate), and
+ * expect each stage's output bit for bit.
+ */
+void
+expectBothStagesMatchReferenceLoop(const Bm3dConfig &cfg,
+                                   const image::ImageF &noisy)
+{
+    const Bm3d denoiser(cfg);
+    bm3d::Profile profile;
+    const image::ImageF basic =
+        denoiser.runStage(Stage::HardThreshold, noisy, nullptr, profile);
+    EXPECT_TRUE(basic.raw() == referenceStageOne(cfg, noisy).raw());
+    const image::ImageF out =
+        denoiser.runStage(Stage::Wiener, noisy, &basic, profile);
+    const image::ImageF basic_plane0 = basic.extractPlane(0);
+    const image::ImageF ref = referenceStageLoop(
+        cfg, Stage::Wiener,
+        bm3d::ColorMatchDomain(basic_plane0, cfg.patchSize), noisy, &basic,
+        nullptr, nullptr);
+    EXPECT_TRUE(out.raw() == ref.raw());
+}
+
+} // namespace
+
+TEST(Bm3dFused, BitwiseIdenticalToDiscretePath)
+{
+    // The fused kernels replay the discrete DE's exact float
+    // expressions, so both stages of a colour run with Matches Reuse
+    // and transform-once tiles equal the DE written out in the test.
+    const auto scene = makeTestScene(image::SceneKind::Nature, 40, 25.0f,
+                                     50, /*channels=*/3);
+    Bm3dConfig cfg = oneTileConfig(40);
+    cfg.mr.enabled = true;
+    ASSERT_TRUE(cfg.fusedDenoisePath());
+    expectBothStagesMatchReferenceLoop(cfg, scene.noisy);
+}
+
+TEST(Bm3dStageLoop, DiscreteDePathMatchesReferenceDe)
+{
+    // The engine's discrete path serves every config the fused one
+    // cannot take; sharpening and patch sizes other than 4 must equal
+    // the same written-out DE.
+    const auto scene = makeTestScene(image::SceneKind::Street, 40, 25.0f,
+                                     71, /*channels=*/3);
+    Bm3dConfig sharpen = oneTileConfig(40);
+    sharpen.sharpenAlpha = 1.5f;
+    Bm3dConfig patch2 = oneTileConfig(40);
+    patch2.patchSize = 2;
+    Bm3dConfig patch8 = oneTileConfig(40);
+    patch8.patchSize = 8;
+    for (const Bm3dConfig &cfg : {sharpen, patch2, patch8}) {
+        ASSERT_FALSE(cfg.fusedDenoisePath());
+        SCOPED_TRACE(testing::Message()
+                     << "sharpenAlpha=" << cfg.sharpenAlpha
+                     << " patchSize=" << cfg.patchSize);
+        expectBothStagesMatchReferenceLoop(cfg, scene.noisy);
+    }
+}
+
 TEST(Bm3dStageLoop, MatchesReferenceLoopInWienerStage)
 {
     const auto scene = makeTestScene(image::SceneKind::Texture, 40, 25.0f,
                                      67, /*channels=*/3);
-    const Bm3dConfig cfg = oneTileConfig(40);
-    const Bm3d denoiser(cfg);
-    bm3d::Profile profile;
-    const image::ImageF basic = denoiser.runStage(
-        Stage::HardThreshold, scene.noisy, nullptr, profile);
-    const image::ImageF out =
-        denoiser.runStage(Stage::Wiener, scene.noisy, &basic, profile);
-    const image::ImageF basic_plane0 = basic.extractPlane(0);
-    const image::ImageF ref = referenceStageLoop(
-        cfg, Stage::Wiener,
-        bm3d::ColorMatchDomain(basic_plane0, cfg.patchSize), scene.noisy,
-        &basic, nullptr, nullptr);
-    EXPECT_TRUE(out.raw() == ref.raw());
+    expectBothStagesMatchReferenceLoop(oneTileConfig(40), scene.noisy);
 }
+
+

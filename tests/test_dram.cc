@@ -82,7 +82,8 @@ TEST(Dram, RowHitFasterThanConflict)
     // Same row twice, then a different row in the same bank.
     mem.enqueue(Request{0, false, 1}, 0);
     drain(mem);
-    mem.enqueue(Request{64 * cfg.channels, false, 2}, 0); // same row
+    mem.enqueue(Request{static_cast<sim::Addr>(64 * cfg.channels), false, 2},
+                0); // same row
     drain(mem);
     EXPECT_EQ(mem.stats().get("dram.rowHits"), 1.0);
     // A different row of the same bank forces a conflict.

@@ -148,10 +148,9 @@ TEST(Presets, Int16OnlyWhereTheFusedDe1Runs)
 {
     // Bases whose DE1 takes the discrete path keep float matching, so
     // every preset still validates.
-    std::vector<Bm3dConfig> bases(3);
+    std::vector<Bm3dConfig> bases(2);
     bases[0].fixedPoint = fixed::PipelineFormats::forFraction(12);
     bases[1].sharpenAlpha = 1.5f;
-    bases[2].fusedDenoise = false;
     for (const Bm3dConfig &base : bases) {
         for (ScenePreset p : {ScenePreset::Nature, ScenePreset::Street,
                               ScenePreset::Texture}) {

@@ -63,35 +63,6 @@ TEST_P(Bm3dParamSweep, ImprovesPsnrAndCoversImage)
     }
 }
 
-TEST_P(Bm3dParamSweep, FusedKnobNeverChangesOutput)
-{
-    // The fused group-major denoise path (DESIGN §12) replays the
-    // discrete path's float expressions when eligible (4x4 patches)
-    // and falls back to it otherwise — so for EVERY configuration,
-    // flipping Config::fusedDenoise must be invisible bit for bit.
-    const auto [patch, stride, window] = GetParam();
-    bm3d::Bm3dConfig cfg;
-    cfg.patchSize = patch;
-    cfg.refStride = stride;
-    cfg.searchWindow1 = window;
-    cfg.searchWindow2 = window;
-    cfg.sigma = 25.0f;
-    cfg.validate();
-
-    auto clean = image::makeScene(image::SceneKind::Street, 40, 40, 1,
-                                  340 + patch * 10 + stride);
-    auto noisy = image::addGaussianNoise(clean, 25.0f, 341);
-
-    auto fused = bm3d::Bm3d(cfg).denoise(noisy);
-    cfg.fusedDenoise = false;
-    auto discrete = bm3d::Bm3d(cfg).denoise(noisy);
-
-    EXPECT_TRUE(fused.basic.raw() == discrete.basic.raw())
-        << "patch=" << patch << " stride=" << stride << " Ns=" << window;
-    EXPECT_TRUE(fused.output.raw() == discrete.output.raw())
-        << "patch=" << patch << " stride=" << stride << " Ns=" << window;
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Grid, Bm3dParamSweep,
     ::testing::Values(std::make_tuple(2, 1, 9), std::make_tuple(4, 1, 13),

@@ -5,8 +5,8 @@
  * scalar reference bit for bit — on random inputs, on adversarial
  * saturating/overflow inputs, and on sign-of-zero / NaN / infinity
  * edge cases. Also covers the dispatch mechanics (setLevel clamping,
- * kernelsFor addressing) and cross-checks the integrated transforms
- * (Dct2D, Haar1D) across levels.
+ * kernelsFor addressing) and cross-checks the integrated Dct2D across
+ * levels and the fused denoise kernels against per-column Haar1D.
  */
 
 #include <gtest/gtest.h>
@@ -176,22 +176,22 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
     for (simd::Level level : availableLevels()) {
         const simd::KernelTable &k = simd::kernelsFor(level);
         EXPECT_NE(k.ssd, nullptr);
-        EXPECT_NE(k.dct4Forward, nullptr);
-        EXPECT_NE(k.dct4Inverse, nullptr);
-        EXPECT_NE(k.haarForwardPair, nullptr);
-        EXPECT_NE(k.haarInversePair, nullptr);
-        EXPECT_NE(k.hardThreshold, nullptr);
-        EXPECT_NE(k.wienerApply, nullptr);
-        EXPECT_NE(k.aggregateAdd, nullptr);
         EXPECT_NE(k.ssdSoa, nullptr);
         EXPECT_NE(k.ssdSoaBatch, nullptr);
         EXPECT_NE(k.selectMatches, nullptr);
+        EXPECT_NE(k.dct4Forward, nullptr);
+        EXPECT_NE(k.dct4Inverse, nullptr);
+        EXPECT_NE(k.aggregateAdd, nullptr);
         EXPECT_NE(k.mergeAdd, nullptr);
         EXPECT_NE(k.ssdSoaI16, nullptr);
         EXPECT_NE(k.ssdSoaBatchI16, nullptr);
         EXPECT_NE(k.ssdPairBatchI16, nullptr);
         EXPECT_NE(k.dct4ForwardI16, nullptr);
         EXPECT_NE(k.hardThresholdI16, nullptr);
+        EXPECT_NE(k.haarShrinkFused, nullptr);
+        EXPECT_NE(k.wienerShrinkFused, nullptr);
+        EXPECT_NE(k.aggregateGroup, nullptr);
+        EXPECT_NE(k.haarShrinkFusedI16, nullptr);
     }
 }
 
@@ -230,12 +230,12 @@ namespace {
  */
 struct SoaPlanes
 {
-    SoaPlanes(int len, int positions)
-        : positions(positions),
-          store(static_cast<size_t>(len) * positions), planes(len)
+    SoaPlanes(int len, int count)
+        : positions(count), store(static_cast<size_t>(len) * count),
+          planes(len)
     {
         for (int k = 0; k < len; ++k)
-            planes[k] = store.data() + static_cast<size_t>(k) * positions;
+            planes[k] = store.data() + static_cast<size_t>(k) * count;
     }
 
     float &
@@ -653,188 +653,8 @@ TEST_F(SimdParity, Dct2DTransformIdenticalAcrossLevels)
 }
 
 // ---------------------------------------------------------------------
-// Haar kernels.
+// Aggregation kernels.
 // ---------------------------------------------------------------------
-
-TEST_F(SimdParity, HaarPairKernelsMatchScalarBitwise)
-{
-    Rng rng(707);
-    const float factor = 1.0f / std::sqrt(2.0f);
-    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    for (int width : {1, 3, 4, 7, 8, 15, 16, 31, 64}) {
-        for (const auto &even : inputFamilies(rng, width)) {
-            std::vector<float> odd(width);
-            for (float &v : odd)
-                v = rng.uniform(-255.0f, 255.0f);
-            std::vector<float> a_ref(width), d_ref(width);
-            ref.haarForwardPair(even.data(), odd.data(), a_ref.data(),
-                                d_ref.data(), factor, width);
-            for (simd::Level level : availableLevels()) {
-                std::vector<float> a(width), d(width);
-                simd::kernelsFor(level).haarForwardPair(
-                    even.data(), odd.data(), a.data(), d.data(), factor,
-                    width);
-                SCOPED_TRACE(testing::Message()
-                             << "level=" << simd::toString(level)
-                             << " width=" << width);
-                expectBitEqual(a_ref.data(), a.data(), width, "approx");
-                expectBitEqual(d_ref.data(), d.data(), width, "detail");
-            }
-
-            std::vector<float> e_ref(width), o_ref(width);
-            ref.haarInversePair(even.data(), odd.data(), e_ref.data(),
-                                o_ref.data(), factor, width);
-            for (simd::Level level : availableLevels()) {
-                std::vector<float> e(width), o(width);
-                simd::kernelsFor(level).haarInversePair(
-                    even.data(), odd.data(), e.data(), o.data(), factor,
-                    width);
-                SCOPED_TRACE(testing::Message()
-                             << "level=" << simd::toString(level)
-                             << " width=" << width);
-                expectBitEqual(e_ref.data(), e.data(), width, "out_even");
-                expectBitEqual(o_ref.data(), o.data(), width, "out_odd");
-            }
-        }
-    }
-}
-
-TEST_F(SimdParity, HaarForwardPairSupportsApproxAliasingEven)
-{
-    // forwardRows writes the approximation row in place over its even
-    // input; the kernel contract allows approx == even.
-    Rng rng(808);
-    const float factor = 1.0f / std::sqrt(2.0f);
-    for (int width : {4, 8, 16, 33}) {
-        std::vector<float> even(width), odd(width);
-        for (int i = 0; i < width; ++i) {
-            even[i] = rng.uniform(-255.0f, 255.0f);
-            odd[i] = rng.uniform(-255.0f, 255.0f);
-        }
-        for (simd::Level level : availableLevels()) {
-            std::vector<float> sep_a(width), sep_d(width);
-            const simd::KernelTable &k = simd::kernelsFor(level);
-            k.haarForwardPair(even.data(), odd.data(), sep_a.data(),
-                              sep_d.data(), factor, width);
-            std::vector<float> aliased = even;
-            std::vector<float> d(width);
-            k.haarForwardPair(aliased.data(), odd.data(), aliased.data(),
-                              d.data(), factor, width);
-            SCOPED_TRACE(testing::Message()
-                         << "level=" << simd::toString(level)
-                         << " width=" << width);
-            expectBitEqual(sep_a.data(), aliased.data(), width,
-                           "aliased approx");
-            expectBitEqual(sep_d.data(), d.data(), width, "detail");
-        }
-    }
-}
-
-TEST_F(SimdParity, Haar1DRowsIdenticalAcrossLevels)
-{
-    // Integration: the 16-point row-wise Haar used by the denoising
-    // engine must produce identical bits at every dispatch level.
-    Rng rng(909);
-    transforms::Haar1D haar(16);
-    const int width = 16;
-    std::vector<float> in(16 * width);
-    for (float &v : in)
-        v = rng.uniform(-255.0f, 255.0f);
-
-    simd::setLevel(simd::Level::Scalar);
-    std::vector<float> fwd_ref(in.size()), inv_ref(in.size());
-    haar.forwardRows(in.data(), fwd_ref.data(), width, width);
-    haar.inverseRows(fwd_ref.data(), inv_ref.data(), width, width);
-
-    for (simd::Level level : availableLevels()) {
-        simd::setLevel(level);
-        std::vector<float> fwd(in.size()), inv(in.size());
-        haar.forwardRows(in.data(), fwd.data(), width, width);
-        haar.inverseRows(fwd.data(), inv.data(), width, width);
-        SCOPED_TRACE(simd::toString(level));
-        expectBitEqual(fwd_ref.data(), fwd.data(),
-                       static_cast<int>(fwd.size()), "forwardRows");
-        expectBitEqual(inv_ref.data(), inv.data(),
-                       static_cast<int>(inv.size()), "inverseRows");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shrinkage and aggregation kernels.
-// ---------------------------------------------------------------------
-
-TEST_F(SimdParity, HardThresholdMatchesScalarBitwiseAndByCount)
-{
-    const float thr = 10.0f;
-    const float inf = std::numeric_limits<float>::infinity();
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    // Straddle the threshold, include exact ties (kept: < is strict),
-    // signed zeros, NaN (kept: the comparison is false) and infinities.
-    const std::vector<float> base = {0.0f,   -0.0f, 5.0f,  -5.0f, 10.0f,
-                                     -10.0f, 9.99f, 10.01f, 1e30f, -1e30f,
-                                     inf,    -inf,  nan,    -2.5f, 64.0f,
-                                     -11.0f, 3.0f};
-    for (int count : {1, 4, 8, 16, 17}) {
-        std::vector<float> ref_v(base.begin(), base.begin() + count);
-        const int ref_kept = simd::kernelsFor(simd::Level::Scalar)
-                                 .hardThreshold(ref_v.data(), count, thr);
-        for (simd::Level level : availableLevels()) {
-            std::vector<float> v(base.begin(), base.begin() + count);
-            const int kept = simd::kernelsFor(level).hardThreshold(
-                v.data(), count, thr);
-            SCOPED_TRACE(testing::Message()
-                         << "level=" << simd::toString(level)
-                         << " count=" << count);
-            EXPECT_EQ(ref_kept, kept);
-            expectBitEqual(ref_v.data(), v.data(), count, "thresholded");
-        }
-    }
-}
-
-TEST_F(SimdParity, HardThresholdZeroesToPositiveZero)
-{
-    // The zeroed coefficients must be +0.0f (their bit pattern feeds
-    // the bitwise determinism contract downstream).
-    for (simd::Level level : availableLevels()) {
-        float v[8] = {-0.5f, 0.5f, -0.0f, 0.0f, -3.0f, 3.0f, -7.9f, 7.9f};
-        simd::kernelsFor(level).hardThreshold(v, 8, 8.0f);
-        for (int i = 0; i < 8; ++i) {
-            uint32_t bits;
-            std::memcpy(&bits, &v[i], 4);
-            EXPECT_EQ(bits, 0u)
-                << simd::toString(level) << " [" << i << "]";
-        }
-    }
-}
-
-TEST_F(SimdParity, WienerApplyMatchesScalarBitwise)
-{
-    Rng rng(1111);
-    const float s2 = 625.0f; // sigma 25
-    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    for (int count : {1, 4, 8, 16, 19}) {
-        for (const auto &b : inputFamilies(rng, count)) {
-            std::vector<float> v0(count);
-            for (float &v : v0)
-                v = rng.uniform(-255.0f, 255.0f);
-
-            std::vector<float> v_ref = v0, w_ref(count);
-            const int strong_ref = ref.wienerApply(
-                v_ref.data(), b.data(), w_ref.data(), count, s2);
-            for (simd::Level level : availableLevels()) {
-                std::vector<float> v = v0, w(count);
-                const int strong = simd::kernelsFor(level).wienerApply(
-                    v.data(), b.data(), w.data(), count, s2);
-                SCOPED_TRACE(testing::Message()
-                             << "level=" << simd::toString(level)
-                             << " count=" << count);
-                EXPECT_EQ(strong_ref, strong);
-                expectBitEqual(v_ref.data(), v.data(), count, "v");
-                expectBitEqual(w_ref.data(), w.data(), count, "w");
-            }
-        }
-    }
-}
 
 TEST_F(SimdParity, AggregateAddMatchesScalarBitwise)
 {
@@ -890,25 +710,50 @@ TEST_F(SimdParity, DistanceWrappersDispatchOnActiveLevel)
 // ---------------------------------------------------------------------
 // Fused group-major denoise kernels (DESIGN §12): bitwise parity
 // across levels AND bitwise equality with the discrete composition
-// they replace (Haar1D rows + hardThreshold/wienerApply + dct4Inverse
-// + aggregateAdd).
+// they replace (per-column Haar1D + the shrink expression +
+// dct4Inverse + aggregateAdd).
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** Discrete reference for haarShrinkFused: Haar1D::forwardRows across
-    the stack, scalar hardThreshold over the tile, inverseRows back. */
+/**
+ * Per-column Haar1D forward (or, with @p inverse, inverse) of the
+ * stack x width tile @p g in place: column c holds g[c], g[width + c],
+ * ... A one-deep stack is its own transform.
+ */
+void
+haarColumns(float *g, int stack, int width, bool inverse)
+{
+    if (stack == 1)
+        return;
+    const transforms::Haar1D haar(stack);
+    std::vector<float> in(stack), out(stack);
+    for (int c = 0; c < width; ++c) {
+        for (int i = 0; i < stack; ++i)
+            in[i] = g[static_cast<size_t>(i) * width + c];
+        if (inverse)
+            haar.inverse(in.data(), out.data());
+        else
+            haar.forward(in.data(), out.data());
+        for (int i = 0; i < stack; ++i)
+            g[static_cast<size_t>(i) * width + c] = out[i];
+    }
+}
+
+/** Discrete reference for haarShrinkFused: per-column forward Haar,
+    |v| < threshold zeroed to +0.0f (NaN survives), inverse Haar. */
 int
 haarShrinkDiscrete(float *g, int stack, int width, float threshold)
 {
-    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    if (stack == 1)
-        return ref.hardThreshold(g, width, threshold);
-    transforms::Haar1D haar(stack);
-    std::vector<float> fwd(static_cast<size_t>(stack) * width);
-    haar.forwardRows(g, fwd.data(), width, width);
-    const int kept = ref.hardThreshold(fwd.data(), stack * width, threshold);
-    haar.inverseRows(fwd.data(), g, width, width);
+    haarColumns(g, stack, width, false);
+    int kept = 0;
+    for (int k = 0; k < stack * width; ++k) {
+        if (std::abs(g[k]) < threshold)
+            g[k] = 0.0f;
+        else
+            ++kept;
+    }
+    haarColumns(g, stack, width, true);
     return kept;
 }
 
@@ -918,19 +763,17 @@ int
 wienerShrinkDiscrete(float *g, float *bg, float *w, int stack, int width,
                      float sigma2)
 {
-    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    if (stack == 1)
-        return ref.wienerApply(g, bg, w, width, sigma2);
-    transforms::Haar1D haar(stack);
-    const size_t n = static_cast<size_t>(stack) * width;
-    std::vector<float> gfwd(n), bfwd(n);
-    haar.forwardRows(g, gfwd.data(), width, width);
-    haar.forwardRows(bg, bfwd.data(), width, width);
-    const int strong =
-        ref.wienerApply(gfwd.data(), bfwd.data(), w, stack * width, sigma2);
-    haar.inverseRows(gfwd.data(), g, width, width);
-    // The fused kernel leaves bg in the transform domain.
-    std::memcpy(bg, bfwd.data(), n * sizeof(float));
+    haarColumns(g, stack, width, false);
+    haarColumns(bg, stack, width, false);
+    int strong = 0;
+    for (int k = 0; k < stack * width; ++k) {
+        const float b2 = bg[k] * bg[k];
+        w[k] = b2 / (b2 + sigma2);
+        g[k] *= w[k];
+        if (w[k] > 0.5f)
+            ++strong;
+    }
+    haarColumns(g, stack, width, true);
     return strong;
 }
 
@@ -967,22 +810,18 @@ TEST_F(SimdParity, HaarShrinkFusedMatchesScalarBitwise)
 TEST_F(SimdParity, HaarShrinkFusedMatchesDiscreteComposition)
 {
     // The fused kernel replays Haar1D's exact butterfly schedule with
-    // hardThreshold's element semantics in between, so it must equal
-    // the three-step discrete sequence bit for bit — at every level.
+    // the hard threshold's element semantics in between, so it must
+    // equal the three-step discrete sequence bit for bit — at every
+    // level.
     Rng rng(1515);
     const float thr = 100.0f;
     for (int stack : {1, 2, 4, 8, 16}) {
         for (int width : {7, 16}) {
             for (const auto &tile : inputFamilies(rng, stack * width)) {
-                // Haar1D rows dispatch on the active level; pin the
-                // discrete reference to scalar.
-                simd::setLevel(simd::Level::Scalar);
                 std::vector<float> g_ref = tile;
                 const int kept_ref = haarShrinkDiscrete(
                     g_ref.data(), stack, width, thr);
                 for (simd::Level level : availableLevels()) {
-                    simd::setLevel(level); // Haar1D-independent: fused
-                                           // kernel addressed directly
                     std::vector<float> g = tile;
                     const int kept = simd::kernelsFor(level).haarShrinkFused(
                         g.data(), stack, width, thr);
@@ -1048,7 +887,6 @@ TEST_F(SimdParity, WienerShrinkFusedMatchesDiscreteComposition)
             for (float &v : basic)
                 v = rng.uniform(-255.0f, 255.0f);
 
-            simd::setLevel(simd::Level::Scalar);
             std::vector<float> g_ref = tile, bg_ref = basic, w_ref(n);
             const int strong_ref = wienerShrinkDiscrete(
                 g_ref.data(), bg_ref.data(), w_ref.data(), stack, width,

@@ -522,8 +522,9 @@ butterflyRowI16(const int16_t *x, const int16_t *y, int16_t *sum,
 
 /**
  * Discrete reference for haarShrinkFusedI16: replay the Haar1D
- * forwardRows/inverseRows schedule with butterflyRowI16,
- * hardThresholdI16 over the transform-domain tile in between.
+ * forward/inverse butterfly schedule a row at a time with
+ * butterflyRowI16, hardThresholdI16 over the transform-domain tile in
+ * between.
  */
 int
 haarShrinkDiscreteI16(int16_t *g, int stack, int width, int16_t threshold,

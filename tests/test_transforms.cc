@@ -5,7 +5,6 @@
  */
 
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -211,70 +210,6 @@ TEST_P(HaarRoundTrip, InverseMatrixMatchesButterfly)
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, HaarRoundTrip,
-                         ::testing::Values(2, 4, 8, 16, 32, 64));
-
-class HaarRows : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(HaarRows, ForwardRowsBitwiseMatchesPerColumn)
-{
-    // The row-wise (SoA) form must produce the exact same bits as
-    // running the scalar butterfly on each column independently:
-    // the tiled BM3D runner's determinism guarantee relies on it.
-    const int n = GetParam();
-    const int width = 7; // not a multiple of any SIMD width
-    Haar1D haar(n);
-    auto in = randomVector(n * width, 600 + n);
-    std::vector<float> rows(n * width), cols(n * width);
-    haar.forwardRows(in.data(), rows.data(), width, width);
-    std::vector<float> col_in(n), col_out(n);
-    for (int c = 0; c < width; ++c) {
-        for (int i = 0; i < n; ++i)
-            col_in[i] = in[i * width + c];
-        haar.forward(col_in.data(), col_out.data());
-        for (int i = 0; i < n; ++i)
-            cols[i * width + c] = col_out[i];
-    }
-    EXPECT_EQ(0,
-              std::memcmp(rows.data(), cols.data(),
-                          rows.size() * sizeof(float)))
-        << "n=" << n;
-}
-
-TEST_P(HaarRows, InverseRowsBitwiseMatchesPerColumn)
-{
-    const int n = GetParam();
-    const int width = 5;
-    Haar1D haar(n);
-    auto in = randomVector(n * width, 700 + n);
-    std::vector<float> rows(n * width), cols(n * width);
-    haar.inverseRows(in.data(), rows.data(), width, width);
-    std::vector<float> col_in(n), col_out(n);
-    for (int c = 0; c < width; ++c) {
-        for (int i = 0; i < n; ++i)
-            col_in[i] = in[i * width + c];
-        haar.inverse(col_in.data(), col_out.data());
-        for (int i = 0; i < n; ++i)
-            cols[i * width + c] = col_out[i];
-    }
-    EXPECT_EQ(0,
-              std::memcmp(rows.data(), cols.data(),
-                          rows.size() * sizeof(float)))
-        << "n=" << n;
-}
-
-TEST(HaarRows, RejectsBadWidth)
-{
-    Haar1D haar(8);
-    float buf[8 * 65];
-    EXPECT_THROW(haar.forwardRows(buf, buf, 65, 0),
-                 std::invalid_argument);
-    EXPECT_THROW(haar.inverseRows(buf, buf, 65, 65),
-                 std::invalid_argument);
-}
-
-INSTANTIATE_TEST_SUITE_P(Lengths, HaarRows,
                          ::testing::Values(2, 4, 8, 16, 32, 64));
 
 TEST(Dct, FoldedPassMatchesMatrixProduct)
